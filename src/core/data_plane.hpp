@@ -77,11 +77,9 @@ class TableMultDataPlane {
   /// every scope); otherwise default config. No-op when it exists.
   virtual void ensure_table(const std::string& table, bool sum_combiner) = 0;
 
-  /// Opens one consistent cut of `tables`. `snapshot_isolation` false
-  /// reads the live tables instead (pre-MVCC behaviour) where the
-  /// plane supports the distinction.
+  /// Opens one consistent cut of `tables`.
   virtual std::unique_ptr<ReadView> open_read_view(
-      const std::vector<std::string>& tables, bool snapshot_isolation) = 0;
+      const std::vector<std::string>& tables) = 0;
 
   virtual std::unique_ptr<WriteSession> open_write_session(
       const std::string& table) = 0;
@@ -106,8 +104,7 @@ class LocalDataPlane : public TableMultDataPlane {
   bool table_exists(const std::string& table) override;
   void ensure_table(const std::string& table, bool sum_combiner) override;
   std::unique_ptr<ReadView> open_read_view(
-      const std::vector<std::string>& tables,
-      bool snapshot_isolation) override;
+      const std::vector<std::string>& tables) override;
   std::unique_ptr<WriteSession> open_write_session(
       const std::string& table) override;
   std::vector<std::string> partition_rows(const std::string& table,

@@ -383,7 +383,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   if (!options.mask_table.empty()) view_tables.push_back(options.mask_table);
   std::unique_ptr<TableMultDataPlane::ReadView> view =
       util::with_retries("TableMult: snapshot open", retry, [&] {
-        return plane.open_read_view(view_tables, options.snapshot_isolation);
+        return plane.open_read_view(view_tables);
       });
 
   // The mask is loaded once, before the fan-out: one read of M serves

@@ -25,6 +25,12 @@
 // writes folds to the same table. (Callers configuring C manually must
 // likewise attach a commutative combiner, or run with num_workers = 1.)
 //
+// Inputs are read through the data plane's read view, opened before
+// partitioning. On the local plane that view pins one MVCC snapshot per
+// input table, so every worker — and every retry — sees the same cut
+// even while other clients write, and in-place products (C == A or
+// C == B) read the inputs as of the call.
+//
 // Failure recovery (see DESIGN.md §8): each partition is an
 // independently retryable unit. A transient failure — an injected
 // fault, a WAL hiccup the lower-level retries could not absorb —
@@ -92,15 +98,6 @@ struct TableMultOptions {
   /// partition's contribution — callers opting into deadlines trade
   /// completeness for bounded latency.
   std::chrono::milliseconds partition_deadline{0};
-  /// Read A and B through pinned MVCC snapshots (one per input table,
-  /// opened before partitioning): every worker — and every retry — sees
-  /// the same consistent cut of the inputs even while other clients
-  /// write to them, which also makes the retry mutation streams exactly
-  /// reproducible. Disable to scan the live tables (the pre-MVCC
-  /// behaviour); in-place products (C == A or C == B) work either way,
-  /// but with snapshots the product reads the inputs as of the call —
-  /// the natural semantics for iterated kernels.
-  bool snapshot_isolation = true;
   /// Structural mask (GraphBLAS C<M>): when non-empty, names a table M
   /// whose stored (row, qualifier) set gates the output. A partial
   /// product destined for C(i, j) is dropped inside the merge join —

@@ -454,13 +454,11 @@ void ClusterDataPlane::ensure_table(const std::string& table,
 }
 
 std::unique_ptr<core::TableMultDataPlane::ReadView>
-ClusterDataPlane::open_read_view(const std::vector<std::string>& tables,
-                                 bool snapshot_isolation) {
+ClusterDataPlane::open_read_view(const std::vector<std::string>& tables) {
   // Per-scan consistency only (each remote scan pins per-server
   // snapshots for its lease's life); there is no cross-scan snapshot
   // handle over the wire. See the class comment.
   (void)tables;
-  (void)snapshot_isolation;
   return std::make_unique<RemoteReadView>(cluster_);
 }
 

@@ -138,7 +138,7 @@ class ClusterDataPlane : public core::TableMultDataPlane {
   bool table_exists(const std::string& table) override;
   void ensure_table(const std::string& table, bool sum_combiner) override;
   std::unique_ptr<ReadView> open_read_view(
-      const std::vector<std::string>& tables, bool snapshot_isolation) override;
+      const std::vector<std::string>& tables) override;
   std::unique_ptr<WriteSession> open_write_session(
       const std::string& table) override;
   /// The cluster's static server boundaries, regardless of `pieces`:

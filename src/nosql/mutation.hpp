@@ -58,12 +58,12 @@ class Mutation {
 
 /// Abstract destination for a stream of mutations — the writer surface
 /// BatchWriter (local) and distributed::ClusterBatchWriter (remote)
-/// both implement, so producers like RemoteWriteIterator and the
-/// TableMult partition workers are agnostic to where their output
-/// lands. Contract mirrors BatchWriter: add_mutation may auto-flush
-/// and throw; close() is the explicit way to observe the final flush;
-/// abandon() discards buffered work for callers that re-generate it on
-/// retry; mutations_written() is exact and meaningful mid-failure.
+/// both implement, so producers like the TableMult partition workers
+/// are agnostic to where their output lands. Contract mirrors
+/// BatchWriter: add_mutation may auto-flush and throw; close() is the
+/// explicit way to observe the final flush; abandon() discards buffered
+/// work for callers that re-generate it on retry; mutations_written()
+/// is exact and meaningful mid-failure.
 class MutationSink {
  public:
   /// What kind of failure last_error() records — callers distinguish a

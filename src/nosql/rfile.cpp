@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 
 #include "nosql/block_cache.hpp"
@@ -151,13 +152,36 @@ const std::string* single_row_of(const Range& range) {
   return nullptr;
 }
 
+/// The smallest key sorting strictly after `k`, so that lower_bound of
+/// it is upper_bound of `k`. Within one column keys order by ts
+/// descending, then delete before put; past the column's last key comes
+/// the next visibility string's newest key.
+Key key_successor(const Key& k) {
+  Key next = k;
+  if (k.deleted) {
+    next.deleted = false;
+  } else if (k.ts != std::numeric_limits<Timestamp>::min()) {
+    --next.ts;
+    next.deleted = true;
+  } else {
+    next.visibility.push_back('\0');
+    next.ts = std::numeric_limits<Timestamp>::max();
+    next.deleted = true;
+  }
+  return next;
+}
+
+std::uint64_t next_file_id() {
+  static std::atomic<std::uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 }  // namespace
 
 // ---- construction -------------------------------------------------------
 
 RFile::RFile(std::vector<Cell> cells, const RFileOptions& options) {
-  static std::atomic<std::uint64_t> next_file_id{1};
-  file_id_ = next_file_id.fetch_add(1, std::memory_order_relaxed);
+  file_id_ = next_file_id();
   count_ = cells.size();
   stride_ = std::max<std::size_t>(1, options.index_stride);
   restart_interval_ = std::max<std::size_t>(1, options.restart_interval);
@@ -166,17 +190,19 @@ RFile::RFile(std::vector<Cell> cells, const RFileOptions& options) {
     last_key_ = cells.back().key;
   }
   build_bloom_from_cells(cells, options);
+  const std::size_t nblocks = (count_ + stride_ - 1) / stride_;
+  block_first_keys_.reserve(nblocks);
+  block_bytes_.reserve(nblocks);
+  for (std::size_t i = 0; i < count_; i += stride_) {
+    block_first_keys_.push_back(cells[i].key);
+    bytes_ += key_bytes(cells[i].key) + sizeof(Key);
+  }
   if (options.prefix_encode) {
     encoded_ = true;
     encode_cells(cells, options);
   } else {
-    for (const auto& c : cells) {
-      bytes_ += c.key.row.size() + c.key.family.size() +
-                c.key.qualifier.size() + c.key.visibility.size() +
-                c.value.size() + sizeof(Key);
-    }
+    size_plain_blocks(cells);
     cells_ = std::make_shared<const std::vector<Cell>>(std::move(cells));
-    build_index(options);
   }
   finish_block_accounting();
 }
@@ -186,8 +212,7 @@ RFile::RFile(std::vector<EncodedBlock> blocks,
              std::uint64_t count, std::vector<std::uint64_t> bloom,
              std::size_t bloom_bits, std::size_t stride,
              std::size_t restart_interval) {
-  static std::atomic<std::uint64_t> next_file_id{1};
-  file_id_ = next_file_id.fetch_add(1, std::memory_order_relaxed);
+  file_id_ = next_file_id();
   encoded_ = true;
   blocks_ = std::move(blocks);
   block_first_keys_ = std::move(block_first_keys);
@@ -218,26 +243,20 @@ std::shared_ptr<RFile> RFile::from_sorted(std::vector<Cell> cells,
   return std::shared_ptr<RFile>(new RFile(std::move(cells), options));
 }
 
-void RFile::build_index(const RFileOptions& options) {
-  const auto& cells = *cells_;
-  index_.reserve(cells.size() / stride_ + 1);
-  block_bytes_.reserve(cells.size() / stride_ + 1);
+void RFile::size_plain_blocks(const std::vector<Cell>& cells) {
   for (std::size_t i = 0; i < cells.size(); i += stride_) {
-    index_.push_back(i);
     // Byte charge of the data block [i, i + stride): what this block
     // costs the block cache while resident.
     std::size_t charge = 0;
     const std::size_t end = std::min(cells.size(), i + stride_);
     for (std::size_t j = i; j < end; ++j) {
-      const Cell& c = cells[j];
-      charge += c.key.row.size() + c.key.family.size() +
-                c.key.qualifier.size() + c.key.visibility.size() +
-                c.value.size() + sizeof(Cell);
+      const std::size_t bytes = key_bytes(cells[j].key) + cells[j].value.size();
+      charge += bytes + sizeof(Cell);
+      bytes_ += bytes + sizeof(Key);
     }
     block_bytes_.push_back(charge);
   }
-  bytes_ += (index_.size() + block_bytes_.size()) * sizeof(std::size_t);
-  (void)options;
+  bytes_ += block_bytes_.size() * sizeof(std::size_t);
 }
 
 void RFile::build_bloom_from_cells(const std::vector<Cell>& cells,
@@ -265,10 +284,7 @@ void RFile::build_bloom_from_cells(const std::vector<Cell>& cells,
 void RFile::encode_cells(const std::vector<Cell>& cells,
                          const RFileOptions& options) {
   TRACE_SPAN("rfile.encode");
-  const std::size_t nblocks = (cells.size() + stride_ - 1) / stride_;
-  blocks_.reserve(nblocks);
-  block_first_keys_.reserve(nblocks);
-  block_bytes_.reserve(nblocks);
+  blocks_.reserve(block_first_keys_.size());
   std::size_t raw_total = 0;
   for (std::size_t i = 0; i < cells.size(); i += stride_) {
     const std::size_t n = std::min(stride_, cells.size() - i);
@@ -291,10 +307,8 @@ void RFile::encode_cells(const std::vector<Cell>& cells,
     if (!block.compressed) block.data = std::move(raw);
     block.data.shrink_to_fit();
     block.crc = crc32(block.data.data(), block.data.size());
-    block_first_keys_.push_back(cells[i].key);
     block_bytes_.push_back(block.data.size());
-    bytes_ += block.data.size() + sizeof(EncodedBlock) +
-              key_bytes(cells[i].key) + sizeof(Key);
+    bytes_ += block.data.size() + sizeof(EncodedBlock);
     blocks_.push_back(std::move(block));
   }
   std::size_t packed_total = 0;
@@ -314,7 +328,10 @@ void RFile::finish_block_accounting() {
   for (const auto b : block_bytes_) total_block_bytes_ += b;
 }
 
-// ---- encoded-block access -----------------------------------------------
+// ---- block access -------------------------------------------------------
+// block() and in_block_lower_bound() are the only read code that tells
+// the two storage modes apart; iteration, seeks and sampling are built
+// on them alone.
 
 namespace {
 /// Decompressed-block scratch, one per thread: RFiles are shared across
@@ -326,36 +343,69 @@ std::string& decompress_scratch() {
 }
 }  // namespace
 
+std::span<const Cell> RFile::block(std::size_t b, BlockCache* cache,
+                                   std::vector<Cell>& buf,
+                                   std::shared_ptr<const void>& pin) const {
+  if (!encoded_) {
+    // A slice of cells_: nothing is copied or decoded. The cache pin is
+    // cells_ itself, so residency is pure accounting.
+    if (cache && !cache->find(file_id_, b)) {
+      cache->insert(file_id_, b, cells_, block_charge(b));
+    }
+    const std::size_t base = b * stride_;
+    return {cells_->data() + base, std::min(stride_, count_ - base)};
+  }
+  if (!cache) {
+    // Decode into the caller's buffer, whose slots (and their string
+    // capacity) are reused across blocks.
+    decode_block_into(b, buf);
+    return buf;
+  }
+  // Decode-through: the pin holds the DECODED cells, charged at the
+  // encoded size, so hot blocks never re-decode.
+  pin = cache->find(file_id_, b);
+  if (!pin) {
+    auto decoded = std::make_shared<std::vector<Cell>>();
+    decode_block_into(b, *decoded);
+    cache->insert(file_id_, b, decoded, block_charge(b));
+    pin = std::move(decoded);
+  }
+  return *static_cast<const std::vector<Cell>*>(pin.get());
+}
+
+std::size_t RFile::in_block_lower_bound(std::size_t b, const Key& key) const {
+  if (encoded_) {
+    // Binary-search the restart points, then key-decode at most
+    // restart_interval_ entries (values are skipped).
+    return blockcodec::block_lower_bound(raw_block(b), blocks_[b].count,
+                                         restart_interval_, key);
+  }
+  const Cell* first = cells_->data() + b * stride_;
+  const Cell* last = first + std::min(stride_, count_ - b * stride_);
+  return static_cast<std::size_t>(
+      std::lower_bound(first, last, key,
+                       [](const Cell& c, const Key& k) { return c.key < k; }) -
+      first);
+}
+
+std::string_view RFile::raw_block(std::size_t b) const {
+  const EncodedBlock& block = blocks_[b];
+  if (!block.compressed) return block.data;
+  std::string& scratch = decompress_scratch();
+  if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
+    throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
+  }
+  return scratch;
+}
+
 void RFile::decode_block_into(std::size_t b, std::vector<Cell>& out) const {
   TRACE_SPAN("rfile.block_decode");
-  const EncodedBlock& block = blocks_[b];
-  std::string_view raw(block.data);
-  if (block.compressed) {
-    std::string& scratch = decompress_scratch();
-    if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
-      throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
-    }
-    raw = scratch;
-  }
-  if (!blockcodec::decode_block(raw, block.count, out)) {
+  const std::string_view raw = raw_block(b);
+  if (!blockcodec::decode_block(raw, blocks_[b].count, out)) {
     throw std::logic_error("RFile: corrupt encoded block (post-CRC)");
   }
   decode_blocks().inc();
   decode_raw_bytes().inc(raw.size());
-}
-
-std::size_t RFile::in_block_lower_bound(std::size_t b, const Key& key) const {
-  const EncodedBlock& block = blocks_[b];
-  std::string_view raw(block.data);
-  if (block.compressed) {
-    std::string& scratch = decompress_scratch();
-    if (!util::lz_decompress(block.data, scratch, block.raw_bytes)) {
-      throw std::logic_error("RFile: corrupt compressed block (post-CRC)");
-    }
-    raw = scratch;
-  }
-  return blockcodec::block_lower_bound(raw, block.count, restart_interval_,
-                                       key);
 }
 
 // ---- pruning ------------------------------------------------------------
@@ -386,213 +436,76 @@ bool RFile::may_intersect(const Range& range) const {
 }
 
 std::size_t RFile::lower_bound_pos(const Key& key) const {
-  if (encoded_) {
-    if (count_ == 0) return 0;
-    // Narrow to the one block that can hold the answer: the last block
-    // whose first key is < key (an earlier block cannot contain a
-    // larger-or-equal first hit; a later block's first key is already
-    // >= key). Duplicate full keys across a block boundary resolve to
-    // the earlier block, matching plain-mode lower_bound semantics.
-    const auto ge = std::partition_point(
-        block_first_keys_.begin(), block_first_keys_.end(),
-        [&](const Key& k) { return k < key; });
-    if (ge == block_first_keys_.begin()) return 0;
-    const auto b =
-        static_cast<std::size_t>(ge - block_first_keys_.begin()) - 1;
-    return b * stride_ + in_block_lower_bound(b, key);
-  }
-  const auto& cells = *cells_;
-  // Narrow to one stride window via the sparse index, then binary-search
-  // only that window.
-  std::size_t lo = 0;
-  std::size_t hi = cells.size();
-  if (!index_.empty()) {
-    const auto first_ge = std::partition_point(
-        index_.begin(), index_.end(),
-        [&](std::size_t pos) { return cells[pos].key < key; });
-    lo = first_ge == index_.begin() ? 0 : *(first_ge - 1);
-    // cells[*first_ge].key >= key, so the answer is at or before it.
-    hi = first_ge == index_.end() ? cells.size() : *first_ge;
-  }
-  const auto it = std::lower_bound(
-      cells.begin() + static_cast<std::ptrdiff_t>(lo),
-      cells.begin() + static_cast<std::ptrdiff_t>(hi), key,
-      [](const Cell& c, const Key& k) { return c.key < k; });
-  const auto pos = static_cast<std::size_t>(it - cells.begin());
-  // When the window [lo, hi) held only smaller keys the answer is hi
-  // itself (the indexed cell known to be >= key), which lower_bound
-  // already returns.
-  return pos;
+  // Narrow to the one block that can hold the answer: the last block
+  // whose first key is < key (an earlier block cannot contain a
+  // larger-or-equal first hit; a later block's first key is already
+  // >= key). Duplicate full keys across a block boundary resolve to
+  // the earlier block. When every key of that block is < key, the
+  // in-block search returns the block's size: the next block's start.
+  const auto ge = std::partition_point(
+      block_first_keys_.begin(), block_first_keys_.end(),
+      [&](const Key& k) { return k < key; });
+  if (ge == block_first_keys_.begin()) return 0;
+  const auto b = static_cast<std::size_t>(ge - block_first_keys_.begin()) - 1;
+  return b * stride_ + in_block_lower_bound(b, key);
 }
 
-// ---- iterators ----------------------------------------------------------
+// ---- iterator -----------------------------------------------------------
 
-/// Iterator over one plain (materialized) RFile with pruning seeks:
-/// consults the file's bounds + Bloom filter to skip impossible ranges
-/// in O(1), and the sparse block index to narrow in-range seeks.
+/// The iterator over an RFile in either storage mode. It walks the file
+/// block by block through RFile::block(); seeks prune via the bounds +
+/// Bloom filter and narrow via the block index. Invariant: whenever
+/// has_top(), the block holding pos_ is loaded — `cells_` covers the
+/// positions [base_, base_ + cells_.size()).
 class RFileIterator : public SortedKVIterator {
  public:
-  explicit RFileIterator(std::shared_ptr<const RFile> file,
-                         BlockCache* cache = nullptr)
+  RFileIterator(std::shared_ptr<const RFile> file, BlockCache* cache)
       : file_(std::move(file)), cache_(cache) {}
 
   void seek(const Range& range) override {
     util::fault::point(util::fault::sites::kRFileSeek);
     pos_ = limit_ = 0;
     if (!file_->may_intersect(range)) return;  // pruned: exhausted
-    const auto& cells = *file_->cells_;
+    // An exclusive start or inclusive end bounds at the key's successor,
+    // so both ends are plain lower bounds.
     if (range.has_start) {
-      pos_ = file_->lower_bound_pos(range.start);
-      while (pos_ < cells.size() && !range.start_inclusive &&
-             cells[pos_].key == range.start) {
-        ++pos_;
-      }
+      pos_ = range.start_inclusive
+                 ? file_->lower_bound_pos(range.start)
+                 : file_->lower_bound_pos(key_successor(range.start));
     }
     if (range.has_end) {
-      limit_ = file_->lower_bound_pos(range.end);
-      while (limit_ < cells.size() && range.end_inclusive &&
-             cells[limit_].key == range.end) {
-        ++limit_;
-      }
+      limit_ = range.end_inclusive
+                   ? file_->lower_bound_pos(key_successor(range.end))
+                   : file_->lower_bound_pos(range.end);
     } else {
-      limit_ = cells.size();
+      limit_ = file_->entry_count();
     }
     if (limit_ < pos_) limit_ = pos_;
-    if (cache_ && pos_ < limit_) {
-      // The seek landed inside a block: that block is the first read.
-      block_end_ = pos_ - pos_ % file_->block_stride();
-      touch_through(pos_);
-    }
+    settle();
   }
 
   bool has_top() const override { return pos_ < limit_; }
-  const Key& top_key() const override { return (*file_->cells_)[pos_].key; }
+  const Key& top_key() const override { return cells_[pos_ - base_].key; }
   const Value& top_value() const override {
-    return (*file_->cells_)[pos_].value;
+    return cells_[pos_ - base_].value;
   }
   void next() override {
     ++pos_;
-    if (cache_ && pos_ < limit_) touch_through(pos_);
-  }
-
-  std::size_t next_block(CellBlock& out, std::size_t max) override {
-    const auto& cells = *file_->cells_;
-    const std::size_t n = std::min(max, limit_ - pos_);
-    for (std::size_t i = 0; i < n; ++i) {
-      const Cell& c = cells[pos_ + i];
-      out.append(c.key, c.value);
-    }
-    pos_ += n;
-    if (cache_ && n > 0) touch_through(std::min(pos_, limit_ - 1));
-    return n;
-  }
-
-  std::size_t next_block_until(CellBlock& out, std::size_t max,
-                               const Key& bound, bool allow_equal) override {
-    // Gallop + binary search for the end of the qualifying run (keys
-    // ascend, so the bound test is a true-prefix predicate), then copy.
-    const std::size_t cap = std::min(max, limit_ - pos_);
-    const Cell* base = file_->cells_->data() + pos_;
-    auto within = [&](const Cell& c) {
-      const auto cmp = c.key <=> bound;
-      return cmp < 0 || (cmp == 0 && allow_equal);
-    };
-    if (cap == 0 || !within(base[0])) return 0;
-    std::size_t lo = 1, hi = 1;
-    while (hi < cap && within(base[hi])) {
-      lo = hi + 1;
-      hi *= 2;
-    }
-    if (hi > cap) hi = cap;
-    const std::size_t n = static_cast<std::size_t>(
-        std::partition_point(base + lo, base + hi, within) - base);
-    for (std::size_t i = 0; i < n; ++i) out.append(base[i].key, base[i].value);
-    pos_ += n;
-    if (cache_ && n > 0) touch_through(std::min(pos_, limit_ - 1));
-    return n;
-  }
-
- private:
-  /// Pulls every block covering positions up to `last` (inclusive)
-  /// through the cache. Iteration is forward-only, so `block_end_`
-  /// (end position of the newest touched block) makes each block cost
-  /// one cache touch per scan pass.
-  void touch_through(std::size_t last) {
-    const std::size_t stride = file_->block_stride();
-    while (block_end_ <= last) {
-      const std::size_t block = block_end_ / stride;
-      cache_->touch(file_->file_id(), block, file_->cells_,
-                    file_->block_charge(block));
-      block_end_ += stride;
-    }
-  }
-
-  std::shared_ptr<const RFile> file_;
-  BlockCache* cache_ = nullptr;
-  std::size_t pos_ = 0;
-  std::size_t limit_ = 0;
-  std::size_t block_end_ = 0;  ///< first position past the touched blocks
-};
-
-/// Iterator over one prefix-encoded RFile. Blocks decode on demand:
-/// through the BlockCache when one is attached (the pin holds the
-/// DECODED cells, charged at encoded size, so hot blocks never
-/// re-decode), or into a private reusable buffer otherwise. Invariant:
-/// whenever has_top(), the block containing pos_ is loaded.
-class EncodedRFileIterator : public SortedKVIterator {
- public:
-  explicit EncodedRFileIterator(std::shared_ptr<const RFile> file,
-                                BlockCache* cache = nullptr)
-      : file_(std::move(file)), cache_(cache) {}
-
-  void seek(const Range& range) override {
-    util::fault::point(util::fault::sites::kRFileSeek);
-    pos_ = limit_ = 0;
-    if (!file_->may_intersect(range)) return;  // pruned: exhausted
-    const std::size_t total = file_->count_;
-    if (range.has_start) {
-      pos_ = file_->lower_bound_pos(range.start);
-      while (pos_ < total && !range.start_inclusive &&
-             key_at(pos_) == range.start) {
-        ++pos_;
-      }
-    }
-    if (range.has_end) {
-      limit_ = file_->lower_bound_pos(range.end);
-      while (limit_ < total && range.end_inclusive &&
-             key_at(limit_) == range.end) {
-        ++limit_;
-      }
-    } else {
-      limit_ = total;
-    }
-    if (limit_ < pos_) limit_ = pos_;
-    if (pos_ < limit_) load_block(pos_ / file_->stride_);
-  }
-
-  bool has_top() const override { return pos_ < limit_; }
-  const Key& top_key() const override { return cell_at(pos_).key; }
-  const Value& top_value() const override { return cell_at(pos_).value; }
-  void next() override {
-    ++pos_;
-    if (pos_ < limit_) ensure_block(pos_);
+    settle();
   }
 
   std::size_t next_block(CellBlock& out, std::size_t max) override {
     std::size_t appended = 0;
     while (appended < max && pos_ < limit_) {
-      ensure_block(pos_);
-      const std::size_t base = cur_block_ * file_->stride_;
-      const std::size_t block_end = std::min(limit_, base + cur_->size());
-      const std::size_t take = std::min(max - appended, block_end - pos_);
-      const Cell* cells = cur_->data() + (pos_ - base);
+      const std::size_t take = std::min(max - appended, run_end() - pos_);
+      const Cell* cells = cells_.data() + (pos_ - base_);
       for (std::size_t i = 0; i < take; ++i) {
         out.append(cells[i].key, cells[i].value);
       }
       pos_ += take;
       appended += take;
+      settle();
     }
-    if (pos_ < limit_) ensure_block(pos_);
     return appended;
   }
 
@@ -604,13 +517,11 @@ class EncodedRFileIterator : public SortedKVIterator {
     };
     std::size_t appended = 0;
     while (appended < max && pos_ < limit_) {
-      ensure_block(pos_);
-      const std::size_t base = cur_block_ * file_->stride_;
-      const std::size_t block_end = std::min(limit_, base + cur_->size());
-      const std::size_t cap = std::min(max - appended, block_end - pos_);
-      const Cell* cells = cur_->data() + (pos_ - base);
-      if (cap == 0 || !within(cells[0])) break;
-      // Gallop + binary search inside this decoded block.
+      const std::size_t cap = std::min(max - appended, run_end() - pos_);
+      const Cell* cells = cells_.data() + (pos_ - base_);
+      if (!within(cells[0])) break;
+      // Gallop + binary search for the end of the qualifying run (keys
+      // ascend, so the bound test is a true-prefix predicate).
       std::size_t lo = 1, hi = 1;
       while (hi < cap && within(cells[hi])) {
         lo = hi + 1;
@@ -624,63 +535,40 @@ class EncodedRFileIterator : public SortedKVIterator {
       }
       pos_ += n;
       appended += n;
+      settle();
       if (n < cap) break;  // stopped by the bound, not the block edge
     }
-    if (pos_ < limit_) ensure_block(pos_);
     return appended;
   }
 
  private:
-  const Cell& cell_at(std::size_t pos) const {
-    return (*cur_)[pos - cur_block_ * file_->stride_];
+  /// First position past the readable run of the loaded block.
+  std::size_t run_end() const {
+    return std::min(limit_, base_ + cells_.size());
   }
 
-  const Key& key_at(std::size_t pos) {
-    ensure_block(pos);
-    return cell_at(pos).key;
-  }
-
-  void ensure_block(std::size_t pos) { load_block(pos / file_->stride_); }
-
-  void load_block(std::size_t b) {
-    if (b == cur_block_ && cur_) return;
-    if (cache_) {
-      if (auto pin = cache_->find(file_->file_id(), b)) {
-        cur_ = std::static_pointer_cast<const std::vector<Cell>>(pin);
-      } else {
-        auto decoded = std::make_shared<std::vector<Cell>>();
-        file_->decode_block_into(b, *decoded);
-        cache_->insert(file_->file_id(), b, decoded, file_->block_charge(b));
-        cur_ = std::move(decoded);
-      }
-    } else {
-      // No cache: decode into a private buffer whose slots (and their
-      // string capacity) are reused across blocks.
-      if (!own_) own_ = std::make_shared<std::vector<Cell>>();
-      file_->decode_block_into(b, *own_);
-      cur_ = own_;
-    }
-    cur_block_ = b;
+  /// Restores the invariant after pos_ moved: loads pos_'s block unless
+  /// it is the one already loaded, so each block costs one load (one
+  /// cache lookup, at most one decode) per forward pass.
+  void settle() {
+    if (pos_ >= limit_) return;
+    if (pos_ >= base_ && pos_ - base_ < cells_.size()) return;
+    const std::size_t b = pos_ / file_->block_stride();
+    cells_ = file_->block(b, cache_, buf_, pin_);
+    base_ = b * file_->block_stride();
   }
 
   std::shared_ptr<const RFile> file_;
   BlockCache* cache_ = nullptr;
   std::size_t pos_ = 0;
   std::size_t limit_ = 0;
-  std::size_t cur_block_ = static_cast<std::size_t>(-1);
-  std::shared_ptr<const std::vector<Cell>> cur_;  ///< decoded cur_block_
-  std::shared_ptr<std::vector<Cell>> own_;        ///< cache-less buffer
+  std::size_t base_ = 0;          ///< file position of cells_[0]
+  std::span<const Cell> cells_;   ///< the loaded block
+  std::vector<Cell> buf_;         ///< cache-less decode buffer
+  std::shared_ptr<const void> pin_;  ///< keeps a cached block alive
 };
 
-IterPtr RFile::iterator() const {
-  if (encoded_) return std::make_unique<EncodedRFileIterator>(shared_from_this());
-  return std::make_unique<RFileIterator>(shared_from_this());
-}
-
 IterPtr RFile::iterator(BlockCache* cache) const {
-  if (encoded_) {
-    return std::make_unique<EncodedRFileIterator>(shared_from_this(), cache);
-  }
   return std::make_unique<RFileIterator>(shared_from_this(), cache);
 }
 
@@ -694,25 +582,18 @@ std::vector<std::string> RFile::sample_rows(std::size_t n) const {
   // and can exhaust the budget before the tail rows are ever visited,
   // skewing parallel-scan partitions toward low keys.
   const std::size_t stride = (count_ + n - 1) / n;
-  if (encoded_) {
-    std::vector<Cell> scratch;
-    std::size_t loaded = static_cast<std::size_t>(-1);
-    for (std::size_t i = 0; i < count_ && rows.size() < n; i += stride) {
-      const std::size_t b = i / stride_;
-      if (b != loaded) {
-        decode_block_into(b, scratch);
-        loaded = b;
-      }
-      const std::string& row = scratch[i - b * stride_].key.row;
-      if (rows.empty() || rows.back() != row) rows.push_back(row);
+  std::vector<Cell> buf;
+  std::shared_ptr<const void> pin;
+  std::span<const Cell> cells;
+  std::size_t loaded = static_cast<std::size_t>(-1);
+  for (std::size_t i = 0; i < count_ && rows.size() < n; i += stride) {
+    const std::size_t b = i / stride_;
+    if (b != loaded) {
+      cells = block(b, nullptr, buf, pin);
+      loaded = b;
     }
-  } else {
-    const auto& cells = *cells_;
-    for (std::size_t i = 0; i < cells.size() && rows.size() < n; i += stride) {
-      if (rows.empty() || rows.back() != cells[i].key.row) {
-        rows.push_back(cells[i].key.row);
-      }
-    }
+    const std::string& row = cells[i - b * stride_].key.row;
+    if (rows.empty() || rows.back() != row) rows.push_back(row);
   }
   // Always consider the last distinct row so the sample spans the file.
   const std::string& last_row = last_key_.row;

@@ -6,9 +6,12 @@
 // filter plus first/last-key bounds for seek pruning, and is optionally
 // serializable to disk with CRC32 integrity checksums.
 //
-// Two storage modes, chosen by RFileOptions::prefix_encode:
-//   plain    every cell materialized in one sorted vector (the legacy
-//            layout; default, zero-overhead scan path)
+// Cells are grouped into data blocks of `index_stride` cells, indexed
+// by each block's first key. Two storage modes, chosen by
+// RFileOptions::prefix_encode, differ only in how a block's cells are
+// obtained; one iterator, seek and sampling path serves both:
+//   plain    every cell materialized in one sorted vector; a block is a
+//            slice of it (default; nothing is copied or decoded)
 //   encoded  cells packed into per-block byte buffers: shared-prefix
 //            delta compression with varint lengths and restart points
 //            (nosql/block_codec.hpp), optionally followed by a
@@ -20,7 +23,9 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "nosql/iterator.hpp"
@@ -51,8 +56,8 @@ struct RFileOptions {
   /// never touch a cache and pay zero overhead.
   std::size_t cache_bytes = 0;
   /// Store cells in prefix-compressed packed blocks (the RFL3 layout)
-  /// instead of one materialized vector. Off by default: the plain
-  /// path is byte-for-byte the pre-RFL3 code.
+  /// instead of one materialized vector. Off by default: plain blocks
+  /// scan faster cold, encoded ones pack more cells per cached byte.
   bool prefix_encode = false;
   /// Full (non-delta) key every `restart_interval` cells inside an
   /// encoded block; seeks binary-search the restart array and decode
@@ -85,15 +90,12 @@ class RFile : public std::enable_shared_from_this<RFile> {
   /// sparse block index and skips the file entirely (exhausted
   /// immediately) when the range cannot intersect it — the first/last
   /// key bounds or, for single-row ranges, the row Bloom filter prove
-  /// the target absent.
-  IterPtr iterator() const;
-
-  /// Same, but every data block the iterator reads is pulled through
-  /// `cache` (see nosql/block_cache.hpp). `cache == nullptr` behaves
-  /// exactly like iterator(). For encoded files the cache is
+  /// the target absent. With a `cache`, every data block the iterator
+  /// reads is looked up in it and inserted on a miss (see
+  /// nosql/block_cache.hpp). For encoded files the cache is
   /// decode-through: pins hold DECODED cell blocks (hot blocks never
   /// re-decode) charged at their encoded byte size.
-  IterPtr iterator(BlockCache* cache) const;
+  IterPtr iterator(BlockCache* cache = nullptr) const;
 
   /// Process-unique id of this file, the cache key namespace.
   std::uint64_t file_id() const noexcept { return file_id_; }
@@ -121,9 +123,9 @@ class RFile : public std::enable_shared_from_this<RFile> {
   bool may_contain_row(const std::string& row) const;
 
   /// Position of the first cell with key >= `key` (entry_count() when
-  /// none). Sparse-index-accelerated binary search; on encoded files
-  /// the in-block step binary-searches restart points and decodes at
-  /// most restart_interval keys.
+  /// none). Binary search over the blocks' first keys, then inside one
+  /// block; on encoded files the in-block step binary-searches restart
+  /// points and decodes at most restart_interval keys.
   std::size_t lower_bound_pos(const Key& key) const;
 
   /// Up to `n` evenly spaced row keys from this file (distinct-adjacent,
@@ -131,7 +133,7 @@ class RFile : public std::enable_shared_from_this<RFile> {
   /// always considered, so parallel-scan partitions derived from the
   /// samples cover the tail of the key space instead of skewing toward
   /// low keys. Plain files are O(n); encoded files decode one block per
-  /// sample (keys only).
+  /// sample.
   std::vector<std::string> sample_rows(std::size_t n) const;
 
   /// Serializes to disk: plain files write the legacy RFL2 layout
@@ -156,7 +158,6 @@ class RFile : public std::enable_shared_from_this<RFile> {
 
  private:
   friend class RFileIterator;
-  friend class EncodedRFileIterator;
 
   /// One packed data block: `stride_` cells (fewer in the last block)
   /// prefix-encoded and optionally compressed.
@@ -176,22 +177,37 @@ class RFile : public std::enable_shared_from_this<RFile> {
         std::vector<std::uint64_t> bloom, std::size_t bloom_bits,
         std::size_t stride, std::size_t restart_interval);
 
-  void build_index(const RFileOptions& options);
+  void size_plain_blocks(const std::vector<Cell>& cells);
   void build_bloom_from_cells(const std::vector<Cell>& cells,
                               const RFileOptions& options);
   void encode_cells(const std::vector<Cell>& cells,
                     const RFileOptions& options);
   void finish_block_accounting();
 
-  /// Decodes block `b` into `out` (resized; slot capacity reused).
-  /// Decompresses first when the block carries a compressor. Throws
-  /// std::logic_error on malformed data — blocks are CRC-verified at
-  /// load, so a decode failure is a program bug, not an I/O condition.
-  void decode_block_into(std::size_t b, std::vector<Cell>& out) const;
+  /// The cells of data block `b`: for plain files a slice of cells_;
+  /// for encoded files the block decoded through `cache` (find, then
+  /// insert on a miss; `pin` keeps the cached cells alive while the
+  /// caller reads them) or, without a cache, into `buf`. Plain blocks
+  /// go through the same cache protocol with cells_ as the pin, so
+  /// hit/miss/charge accounting is mode-independent. The span stays
+  /// valid until the next call with the same `buf`/`pin`.
+  std::span<const Cell> block(std::size_t b, BlockCache* cache,
+                              std::vector<Cell>& buf,
+                              std::shared_ptr<const void>& pin) const;
 
-  /// lower_bound over one encoded block via its restart points; returns
-  /// an in-block index in [0, block count].
+  /// lower_bound inside block `b`; returns an in-block index in
+  /// [0, block size]. Encoded blocks search their restart points.
   std::size_t in_block_lower_bound(std::size_t b, const Key& key) const;
+
+  /// Encoded block `b`'s prefix-encoded bytes, decompressed into a
+  /// per-thread scratch when the block carries a compressor.
+  std::string_view raw_block(std::size_t b) const;
+
+  /// Decodes encoded block `b` into `out` (resized; slot capacity
+  /// reused). Throws std::logic_error on malformed data — blocks are
+  /// CRC-verified at load, so a decode failure is a program bug, not
+  /// an I/O condition.
+  void decode_block_into(std::size_t b, std::vector<Cell>& out) const;
 
   bool write_rfl2(const std::string& path) const;
   bool write_rfl3(const std::string& path) const;
@@ -205,6 +221,7 @@ class RFile : public std::enable_shared_from_this<RFile> {
   std::size_t count_ = 0;                 ///< total cells
   std::size_t bytes_ = 0;
   std::size_t stride_ = 1;                ///< cells per data block
+  std::vector<Key> block_first_keys_;     ///< sparse index of the blocks
   std::vector<std::size_t> block_bytes_;  ///< per-block byte charges
   std::size_t total_block_bytes_ = 0;
   std::vector<std::uint64_t> bloom_;      ///< row Bloom bits; empty = off
@@ -214,12 +231,10 @@ class RFile : public std::enable_shared_from_this<RFile> {
 
   // ---- plain mode -------------------------------------------------------
   std::shared_ptr<const std::vector<Cell>> cells_;  ///< null when encoded
-  std::vector<std::size_t> index_;        ///< cell positions 0, N, 2N, ...
 
   // ---- encoded mode -----------------------------------------------------
   bool encoded_ = false;
   std::vector<EncodedBlock> blocks_;
-  std::vector<Key> block_first_keys_;     ///< sparse index of the blocks
   std::size_t restart_interval_ = 16;
 };
 

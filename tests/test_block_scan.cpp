@@ -5,6 +5,7 @@
 // data are randomized; block sizes span 1..4096.
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <random>
@@ -311,10 +312,32 @@ TEST(EncodedBlocks, LowerBoundMatchesReference) {
   }
 }
 
+/// Scans `rf` twice through a fresh BlockCache: both passes return
+/// `cells`, the first misses once per block, the second misses never,
+/// and the cache charges exactly the file's block bytes.
+void expect_cached_scans_match(const RFile& rf, const std::vector<Cell>& cells,
+                               const std::string& what) {
+  BlockCache cache(64 << 20, 1);
+  auto scan = [&] {
+    auto it = rf.iterator(&cache);
+    it->seek(Range::all());
+    return drain_cellwise(*it);
+  };
+  expect_identical(cells, scan(), what + " cached first pass");
+  const auto first = cache.stats();
+  EXPECT_EQ(first.misses, rf.block_count()) << what;
+  EXPECT_EQ(first.bytes, rf.total_block_bytes()) << what;
+  expect_identical(cells, scan(), what + " cached second pass");
+  const auto second = cache.stats();
+  EXPECT_EQ(second.misses, first.misses) << what << ": second pass missed";
+  EXPECT_EQ(second.hits, first.hits + rf.block_count()) << what;
+  EXPECT_EQ(second.bytes, rf.total_block_bytes()) << what;
+}
+
 /// An encoded RFile must be observationally identical to a plain one
 /// built from the same cells — full scans, random range seeks, block
-/// drains and bounded drains — across restart intervals, strides and
-/// compressor settings.
+/// drains, bounded drains and scans through a BlockCache — across
+/// restart intervals, strides and compressor settings.
 TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
   std::mt19937 rng(90210);
   for (int trial = 0; trial < 10; ++trial) {
@@ -322,6 +345,8 @@ TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
     RFileOptions plain_opts;
     plain_opts.index_stride = 1 + rng() % 64;
     const auto plain = RFile::from_sorted(cells, plain_opts);
+    ASSERT_FALSE(plain->prefix_encoded());
+    expect_cached_scans_match(*plain, cells, "plain");
     for (const auto compressor : {RFileCompressor::kNone, RFileCompressor::kLz}) {
       RFileOptions opts;
       opts.prefix_encode = true;
@@ -377,6 +402,88 @@ TEST(EncodedBlocks, EncodedRFileMatchesPlainAcrossKnobs) {
       // storage).
       for (const std::size_t n : {1u, 3u, 10u}) {
         EXPECT_EQ(plain->sample_rows(n), encoded->sample_rows(n));
+      }
+
+      expect_cached_scans_match(*encoded, cells, "encoded");
+    }
+  }
+
+  // Equal full keys straddling block boundaries: at strides 1-3 the
+  // runs of duplicates below span two to four blocks, so every seek
+  // bound lands on a boundary edge. Both modes must agree with the
+  // reference lower_bound and with Range::contains, for inclusive and
+  // exclusive bounds on either end. The last column ends at the minimum
+  // timestamp, so an exclusive bound there steps to the next visibility.
+  std::vector<Cell> dups;
+  auto add = [&](const std::string& row, const std::string& vis,
+                 Timestamp ts, bool deleted, int copies) {
+    for (int i = 0; i < copies; ++i) {
+      Cell c;
+      c.key.row = row;
+      c.key.family = "f";
+      c.key.qualifier = "q";
+      c.key.visibility = vis;
+      c.key.ts = ts;
+      c.key.deleted = deleted;
+      c.value = deleted ? "" : encode_double(double(dups.size()));
+      dups.push_back(c);
+    }
+  };
+  add("r0", "", 5, false, 1);
+  add("r1", "", 9, true, 3);
+  add("r1", "", 9, false, 4);
+  add("r1", "", 8, true, 2);
+  add("r1", "", 8, false, 2);
+  add("r2", "", std::numeric_limits<Timestamp>::min(), false, 3);
+  add("r2", std::string(1, '\0'), std::numeric_limits<Timestamp>::max(),
+      true, 2);
+  add("r3", "", 1, false, 1);
+  std::vector<Key> probes;
+  for (const auto& c : dups) probes.push_back(c.key);
+  probes.push_back(min_key_for_row("r1"));
+  probes.push_back(min_key_for_row("r9"));
+  for (const std::size_t stride : {1u, 2u, 3u}) {
+    RFileOptions popts;
+    popts.index_stride = stride;
+    std::vector<std::shared_ptr<RFile>> files{RFile::from_sorted(dups, popts)};
+    for (const auto compressor :
+         {RFileCompressor::kNone, RFileCompressor::kLz}) {
+      RFileOptions eopts = popts;
+      eopts.prefix_encode = true;
+      eopts.restart_interval = stride == 1 ? 1 : 2;
+      eopts.compressor = compressor;
+      files.push_back(RFile::from_sorted(dups, eopts));
+    }
+    for (const auto& rf : files) {
+      const std::string what = std::string(rf->prefix_encoded() ? "encoded"
+                                                                : "plain") +
+                               " stride " + std::to_string(stride);
+      expect_cached_scans_match(*rf, dups, what + " duplicates");
+      auto it = rf->iterator();
+      for (const Key& k : probes) {
+        const auto ref = static_cast<std::size_t>(
+            std::lower_bound(dups.begin(), dups.end(), k,
+                             [](const Cell& c, const Key& key) {
+                               return c.key < key;
+                             }) -
+            dups.begin());
+        EXPECT_EQ(rf->lower_bound_pos(k), ref) << what << " " << k.to_string();
+        for (int shape = 0; shape < 4; ++shape) {
+          Range r;
+          r.has_start = r.has_end = true;
+          r.start = r.end = k;
+          r.start_inclusive = (shape & 1) != 0;
+          r.end_inclusive = (shape & 2) != 0;
+          if (shape == 0) r.end = probes.back();  // past every cell
+          std::vector<Cell> expected;
+          for (const auto& c : dups) {
+            if (r.contains(c.key)) expected.push_back(c);
+          }
+          it->seek(r);
+          expect_identical(expected, drain_cellwise(*it),
+                           what + " seek " + k.to_string() + " shape " +
+                               std::to_string(shape));
+        }
       }
     }
   }

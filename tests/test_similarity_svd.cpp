@@ -1,5 +1,5 @@
 // SimRank, Adamic-Adar and truncated SVD (the remaining Table I
-// similarity/community algorithms), plus the RemoteWrite iterator.
+// similarity/community algorithms).
 
 #include <cmath>
 
@@ -7,11 +7,7 @@
 
 #include "algo/similarity_extra.hpp"
 #include "algo/svd.hpp"
-#include "assoc/table_io.hpp"
-#include "core/remote_write.hpp"
 #include "la/la.hpp"
-#include "nosql/codec.hpp"
-#include "nosql/scanner.hpp"
 #include "test_helpers.hpp"
 
 namespace graphulo::algo {
@@ -187,48 +183,6 @@ TEST(Svd, RankBoundedByMatrixRank) {
   for (std::size_t p = 1; p < triplets.size(); ++p) {
     EXPECT_LT(triplets[p].sigma, 1e-5);
   }
-}
-
-// --------------------------------------------------------------------------
-
-TEST(RemoteWrite, TeesScanIntoTargetTable) {
-  nosql::Instance db;
-  const auto a = graphulo::testing::random_sparse_int(10, 10, 0.4, 406);
-  assoc::write_matrix(db, "src", a);
-  const auto copied = core::table_copy_filtered(
-      db, "src", "dst", [](const nosql::Key&, double) { return true; });
-  EXPECT_EQ(copied, static_cast<std::size_t>(a.nnz()));
-  EXPECT_EQ(assoc::read_matrix(db, "dst", 10, 10), a);
-}
-
-TEST(RemoteWrite, FilterRestrictsCopy) {
-  nosql::Instance db;
-  const auto a = graphulo::testing::random_sparse_int(12, 12, 0.5, 407, 5);
-  assoc::write_matrix(db, "src", a);
-  core::table_copy_filtered(db, "src", "big",
-                            [](const nosql::Key&, double v) { return v >= 4; });
-  const auto expected =
-      la::select(a, [](Index, Index, double v) { return v >= 4; });
-  EXPECT_EQ(assoc::read_matrix(db, "big", 12, 12), expected);
-}
-
-TEST(RemoteWrite, RangeRestrictsCopy) {
-  nosql::Instance db;
-  db.create_table("src");
-  for (const char* row : {"a", "b", "c", "d"}) {
-    nosql::Mutation m(row);
-    m.put("f", "q", nosql::encode_double(1.0));
-    db.apply("src", m);
-  }
-  const auto copied = core::table_copy_filtered(
-      db, "src", "dst", [](const nosql::Key&, double) { return true; },
-      nosql::Range::row_range("b", "c"));
-  EXPECT_EQ(copied, 2u);
-  nosql::Scanner scan(db, "dst");
-  const auto cells = scan.read_all();
-  ASSERT_EQ(cells.size(), 2u);
-  EXPECT_EQ(cells[0].key.row, "b");
-  EXPECT_EQ(cells[1].key.row, "c");
 }
 
 }  // namespace

@@ -36,14 +36,25 @@ std::string cells_fingerprint(const std::vector<Cell>& cells) {
 // ---------------------------------------------------------------------------
 // BlockCache
 
+/// The read path's get-or-insert protocol: find(), and on a miss
+/// insert() the caller's block. True on a hit.
+bool find_or_insert(BlockCache& cache, std::uint64_t file, std::uint64_t block,
+                    const BlockCache::Pin& pin, std::size_t charge) {
+  if (cache.find(file, block)) return true;
+  cache.insert(file, block, pin, charge);
+  return false;
+}
+
 TEST(BlockCache, MissesInsertThenHit) {
   BlockCache cache(1 << 20, 1);
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  EXPECT_FALSE(cache.touch(1, 0, pin, 100));  // miss inserts
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));   // now resident
-  EXPECT_FALSE(cache.touch(1, 1, pin, 100));  // different block
-  EXPECT_FALSE(cache.touch(2, 0, pin, 100));  // different file
+  EXPECT_EQ(cache.find(1, 0), nullptr);  // miss does not insert
+  EXPECT_EQ(cache.stats().entries, 0u);
+  cache.insert(1, 0, pin, 100);
+  EXPECT_EQ(cache.find(1, 0), pin);  // now resident: the inserted pin
+  EXPECT_FALSE(find_or_insert(cache, 1, 1, pin, 100));  // different block
+  EXPECT_FALSE(find_or_insert(cache, 2, 0, pin, 100));  // different file
   const auto s = cache.stats();
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.misses, 3u);
@@ -56,12 +67,12 @@ TEST(BlockCache, EvictsLeastRecentlyUsedWithinBudget) {
   BlockCache cache(250, 1);  // room for two 100-byte blocks
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  cache.touch(1, 0, pin, 100);
-  cache.touch(1, 1, pin, 100);
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));  // block 0 now MRU
-  cache.touch(1, 2, pin, 100);               // evicts block 1 (LRU)
-  EXPECT_TRUE(cache.touch(1, 0, pin, 100));
-  EXPECT_FALSE(cache.touch(1, 1, pin, 100));  // was evicted
+  find_or_insert(cache, 1, 0, pin, 100);
+  find_or_insert(cache, 1, 1, pin, 100);
+  EXPECT_TRUE(find_or_insert(cache, 1, 0, pin, 100));  // block 0 now MRU
+  find_or_insert(cache, 1, 2, pin, 100);  // evicts block 1 (LRU)
+  EXPECT_TRUE(find_or_insert(cache, 1, 0, pin, 100));
+  EXPECT_FALSE(find_or_insert(cache, 1, 1, pin, 100));  // was evicted
   const auto s = cache.stats();
   EXPECT_GE(s.evictions, 1u);
   EXPECT_LE(s.bytes, 300u);
@@ -74,8 +85,8 @@ TEST(BlockCache, OversizedBlockStillCachedAlone) {
   BlockCache cache(50, 1);
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
-  cache.touch(1, 0, pin, 400);
-  EXPECT_TRUE(cache.touch(1, 0, pin, 400));
+  find_or_insert(cache, 1, 0, pin, 400);
+  EXPECT_TRUE(find_or_insert(cache, 1, 0, pin, 400));
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
@@ -84,15 +95,61 @@ TEST(BlockCache, EraseFileDropsOnlyThatFile) {
   auto data = std::make_shared<std::vector<int>>(16);
   BlockCache::Pin pin(data, data.get());
   for (std::uint64_t b = 0; b < 8; ++b) {
-    cache.touch(1, b, pin, 10);
-    cache.touch(2, b, pin, 10);
+    find_or_insert(cache, 1, b, pin, 10);
+    find_or_insert(cache, 2, b, pin, 10);
   }
   cache.erase_file(1);
   const auto s = cache.stats();
   EXPECT_EQ(s.entries, 8u);
   EXPECT_EQ(s.bytes, 80u);
-  EXPECT_FALSE(cache.touch(1, 0, pin, 10));  // gone
-  EXPECT_TRUE(cache.touch(2, 0, pin, 10));   // untouched
+  EXPECT_FALSE(find_or_insert(cache, 1, 0, pin, 10));  // gone
+  EXPECT_TRUE(find_or_insert(cache, 2, 0, pin, 10));   // untouched
+}
+
+TEST(BlockCache, LoadedAndBuiltFilesNeverShareCacheKeys) {
+  // The cache keys blocks by RFile::file_id(), so files built in memory
+  // and files loaded from disk must draw ids from one sequence: a
+  // loaded file reusing a live file's id would be served that file's
+  // cached blocks.
+  auto make_cells = [](const std::string& prefix) {
+    std::vector<Cell> cells;
+    for (int i = 0; i < 8; ++i) {
+      Cell c;
+      c.key.row = prefix + std::to_string(i);
+      c.key.family = "f";
+      c.key.qualifier = "q";
+      c.value = prefix;
+      cells.push_back(c);
+    }
+    return cells;
+  };
+  RFileOptions plain_opts;
+  plain_opts.index_stride = 2;
+  const auto built = RFile::from_sorted(make_cells("a"), plain_opts);
+  RFileOptions encoded_opts = plain_opts;
+  encoded_opts.prefix_encode = true;
+  const auto written = RFile::from_sorted(make_cells("b"), encoded_opts);
+  const std::string path = ::testing::TempDir() + "/graphulo_ids.rf";
+  ASSERT_TRUE(written->write_to(path));
+  const auto loaded = RFile::read_from(path);
+  std::remove(path.c_str());
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_LT(built->file_id(), written->file_id());
+  EXPECT_LT(written->file_id(), loaded->file_id());
+
+  BlockCache cache(1 << 20, 1);
+  auto scan = [&](const RFile& rf) {
+    auto it = rf.iterator(&cache);
+    it->seek(Range::all());
+    std::vector<Cell> out;
+    for (; it->has_top(); it->next()) {
+      out.push_back({it->top_key(), it->top_value()});
+    }
+    return cells_fingerprint(out);
+  };
+  EXPECT_EQ(scan(*built), cells_fingerprint(make_cells("a")));
+  EXPECT_EQ(scan(*loaded), cells_fingerprint(make_cells("b")));
+  EXPECT_EQ(cache.stats().hits, 0u);
 }
 
 TEST(BlockCache, ScansPopulateAndHitThroughTablet) {
