@@ -34,23 +34,6 @@ class LocalReadView : public TableMultDataPlane::ReadView {
   std::map<std::string, std::shared_ptr<const nosql::Snapshot>> snapshots_;
 };
 
-class LocalWriteSession : public TableMultDataPlane::WriteSession {
- public:
-  LocalWriteSession(nosql::Instance& db, std::string table)
-      : db_(db), table_(std::move(table)) {}
-
-  std::unique_ptr<nosql::MutationSink> open_writer(
-      std::size_t /*partition*/) override {
-    return std::make_unique<nosql::BatchWriter>(db_, table_);
-  }
-
-  bool exactly_once() const noexcept override { return false; }
-
- private:
-  nosql::Instance& db_;
-  std::string table_;
-};
-
 }  // namespace
 
 bool LocalDataPlane::table_exists(const std::string& table) {
@@ -71,9 +54,9 @@ std::unique_ptr<TableMultDataPlane::ReadView> LocalDataPlane::open_read_view(
   return std::make_unique<LocalReadView>(db_, tables);
 }
 
-std::unique_ptr<TableMultDataPlane::WriteSession>
-LocalDataPlane::open_write_session(const std::string& table) {
-  return std::make_unique<LocalWriteSession>(db_, table);
+std::unique_ptr<nosql::MutationSink> LocalDataPlane::open_writer(
+    const std::string& table, const std::string& stream) {
+  return std::make_unique<nosql::BatchWriter>(db_, table, stream);
 }
 
 std::vector<std::string> LocalDataPlane::partition_rows(

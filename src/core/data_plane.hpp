@@ -11,16 +11,12 @@
 // and distributed::ClusterDataPlane implements them over RPC so the
 // same kernel runs against a fleet of tablet-server processes.
 //
-// Exactly-once across partition retries comes in two flavors, selected
-// by WriteSession::exactly_once():
-//  * false (local BatchWriter): the kernel skips the durable prefix of
-//    the partition's deterministic mutation stream client-side (the
-//    writer tells it how many mutations landed before the failure);
-//  * true (remote writers): resent batches carry (writer id, sequence
-//    number) and the owning server skips the already-applied prefix,
-//    which composes with per-server batching where a client-side
-//    prefix count would not (per-server batches apply out of global
-//    stream order). The kernel then always resends from sequence 0.
+// Exactly-once across partition retries has one protocol on both
+// planes: open_writer(table, stream) returns a sink whose mutations are
+// numbered on writer stream `stream`, and the Instance that applies
+// them (in process, or behind a tablet server) skips every sequence
+// number below the stream's persisted high-water mark. A retried
+// partition re-opens its stream and resends from sequence 0.
 
 #include <cstdint>
 #include <memory>
@@ -52,22 +48,6 @@ class TableMultDataPlane {
                                      const nosql::Range& range) = 0;
   };
 
-  /// One multiply's write fan-out into the result table: each
-  /// partition opens its writer by index, and a retried partition
-  /// re-opens the SAME index so exactly-once sinks can dedup the
-  /// resent stream.
-  class WriteSession {
-   public:
-    virtual ~WriteSession() = default;
-
-    virtual std::unique_ptr<nosql::MutationSink> open_writer(
-        std::size_t partition) = 0;
-
-    /// True when the sinks dedup retried streams themselves (see file
-    /// comment); the kernel then keeps its client-side skip at zero.
-    virtual bool exactly_once() const noexcept = 0;
-  };
-
   virtual ~TableMultDataPlane() = default;
 
   virtual bool table_exists(const std::string& table) = 0;
@@ -81,8 +61,11 @@ class TableMultDataPlane {
   virtual std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables) = 0;
 
-  virtual std::unique_ptr<WriteSession> open_write_session(
-      const std::string& table) = 0;
+  /// A writer into `table` whose mutations are numbered on writer
+  /// stream `stream` (see the file comment). Re-opening the same stream
+  /// and resending it applies only what no earlier writer applied.
+  virtual std::unique_ptr<nosql::MutationSink> open_writer(
+      const std::string& table, const std::string& stream) = 0;
 
   /// Up to `pieces - 1` interior row boundaries cutting `table`'s row
   /// space into contiguous chunks (tablet splits / sampled keys).
@@ -105,8 +88,8 @@ class LocalDataPlane : public TableMultDataPlane {
   void ensure_table(const std::string& table, bool sum_combiner) override;
   std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables) override;
-  std::unique_ptr<WriteSession> open_write_session(
-      const std::string& table) override;
+  std::unique_ptr<nosql::MutationSink> open_writer(
+      const std::string& table, const std::string& stream) override;
   std::vector<std::string> partition_rows(const std::string& table,
                                           std::size_t pieces) override;
   void compact(const std::string& table) override;

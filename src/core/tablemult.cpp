@@ -4,6 +4,7 @@
 #include <exception>
 #include <future>
 #include <optional>
+#include <random>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -126,14 +127,11 @@ struct ReduceAcc {
 ///
 /// Exactly-once across attempts (write mode): the mutation stream of a
 /// partition is a deterministic function of the (stable) inputs, mask
-/// and filters included, so a retry skips the first `durable` mutations
-/// — the prefix prior attempts applied — and on any failure `durable`
-/// is advanced past everything THIS attempt applied before the buffered
-/// remainder is abandoned. Sinks that dedup resent streams themselves
-/// (`sink_exactly_once`, the remote writers) instead see the stream
-/// from its beginning on every attempt and skip server-side. Reduce
-/// mode has no durable state: a retry starts over on a fresh
-/// accumulator.
+/// and filters included, and `writer` numbers it on the partition's
+/// writer stream. Every attempt emits the stream from its beginning;
+/// the Instance that applies it skips the prefix earlier attempts
+/// applied. On failure the buffered remainder is abandoned. Reduce mode
+/// has no durable state: a retry starts over on a fresh accumulator.
 TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
                                        const std::string& table_a,
                                        const std::string& table_b,
@@ -141,9 +139,7 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
                                        const MaskIndex* mask,
                                        ReduceAcc* reduce, bool per_row,
                                        const nosql::Range& range,
-                                       nosql::MutationSink* writer,
-                                       std::size_t& durable,
-                                       bool sink_exactly_once) {
+                                       nosql::MutationSink* writer) {
   // Per-partition wall time: same quantity TableMultPartitionStats
   // reports per call, accumulated here as a global latency histogram.
   TRACE_SPAN("tablemult.partition");
@@ -151,8 +147,6 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
   TableMultPartitionStats stats;
   if (range.has_start) stats.start_row = range.start.row;
   if (range.has_end) stats.end_row = range.end.row;
-  const std::size_t skip = sink_exactly_once ? 0 : durable;
-  std::size_t generated = 0;  // mutations emitted (skipped or written)
   const double deadline_s =
       std::chrono::duration<double>(options.partition_deadline).count();
   const bool complement = options.complement_mask;
@@ -247,7 +241,7 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
           any = true;
           ++stats.partial_products;
         }
-        if (any && generated++ >= skip) writer->add_mutation(std::move(m));
+        if (any) writer->add_mutation(std::move(m));
       }
       stats.emit_seconds += phase.seconds();
       phase.reset();
@@ -260,20 +254,11 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
     stats.flush_seconds = phase.seconds();
     stats.seeks = reader_a.seeks_performed() + reader_b.seeks_performed();
     stats.seconds = total.seconds();
-    if (writer && !sink_exactly_once) {
-      durable = skip + writer->mutations_written();
-    }
     return stats;
   } catch (...) {
-    // Everything this attempt managed to apply is durable; the buffered
-    // remainder must NOT flush from the destructor (a retry regenerates
-    // it), so abandon the writer before propagating. Exactly-once sinks
-    // keep durable at zero — the owning server, not this counter, skips
-    // the applied prefix of the resent stream.
-    if (writer) {
-      if (!sink_exactly_once) durable = skip + writer->mutations_written();
-      writer->abandon();
-    }
+    // The buffered remainder must NOT flush from the destructor (a retry
+    // regenerates it), so abandon the writer before propagating.
+    if (writer) writer->abandon();
     throw;
   }
 }
@@ -282,25 +267,21 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
 /// fresh scans + a fresh writer (see mult_partition for the
 /// exactly-once argument; reduce attempts restart on a cleared
 /// accumulator), degrades a deadline overrun into a timed-out partition
-/// record instead of an exception. A retry re-opens the SAME partition
-/// index from the write session, so exactly-once sinks resume the same
-/// server-side stream.
+/// record instead of an exception. Write mode (`reduce` null) writes
+/// into `table_c` on writer stream `stream`, re-opened by every retry.
 TableMultPartitionStats run_partition(
-    TableMultDataPlane::ReadView& view, const std::string& table_a,
-    const std::string& table_b, const TableMultOptions& options,
+    TableMultDataPlane& plane, TableMultDataPlane::ReadView& view,
+    const std::string& table_a, const std::string& table_b,
+    const std::string& table_c, const TableMultOptions& options,
     const MaskIndex* mask, ReduceAcc* reduce, bool per_row,
-    const nosql::Range& range, TableMultDataPlane::WriteSession* session,
-    std::size_t partition_index) {
-  std::size_t durable = 0;
-  const bool sink_exactly_once = session != nullptr && session->exactly_once();
+    const nosql::Range& range, const std::string& stream) {
   for (std::size_t attempt = 1;; ++attempt) {
     try {
       if (reduce) *reduce = ReduceAcc{};
       std::unique_ptr<nosql::MutationSink> writer;
-      if (session != nullptr) writer = session->open_writer(partition_index);
+      if (!reduce) writer = plane.open_writer(table_c, stream);
       auto stats = mult_partition(view, table_a, table_b, options, mask,
-                                  reduce, per_row, range, writer.get(),
-                                  durable, sink_exactly_once);
+                                  reduce, per_row, range, writer.get());
       stats.attempts = attempt;
       return stats;
     } catch (const PartitionTimeout& e) {
@@ -317,8 +298,7 @@ TableMultPartitionStats run_partition(
       if (attempt > options.max_partition_retries) throw;
       GRAPHULO_WARN << "TableMult: partition [" << range.start.row << ", "
                     << range.end.row << ") attempt " << attempt
-                    << " failed (" << e.what() << "); retrying with "
-                    << durable << " mutations already durable";
+                    << " failed (" << e.what() << "); retrying";
     }
   }
 }
@@ -401,8 +381,12 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
         return partition_ranges(plane, table_a, workers);
       });
 
-  std::unique_ptr<TableMultDataPlane::WriteSession> session;
-  if (!reduce_mode) session = plane.open_write_session(table_c);
+  // Partition p writes writer stream "tm/<nonce>/<p>": a random nonce
+  // per multiply keeps multiplies (and clients) off each other's streams.
+  std::random_device entropy;
+  const std::string stream_prefix =
+      "tm/" + std::to_string((std::uint64_t{entropy()} << 32) ^ entropy()) +
+      "/";
 
   TableMultStats stats;
   stats.partitions.reserve(ranges.size());
@@ -411,9 +395,9 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     // Serial path: identical order of scans and writes to a single-table
     // run, no pool, no partition boundaries.
     stats.partitions.push_back(run_partition(
-        *view, table_a, table_b, options, mask_ptr,
-        reduce_mode ? &accs[0] : nullptr, per_row, ranges[0], session.get(),
-        0));
+        plane, *view, table_a, table_b, table_c, options, mask_ptr,
+        reduce_mode ? &accs[0] : nullptr, per_row, ranges[0],
+        stream_prefix + "0"));
   } else {
     util::ThreadPool pool(std::min(workers, ranges.size()));
     std::vector<std::future<TableMultPartitionStats>> futures;
@@ -421,11 +405,12 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     for (std::size_t i = 0; i < ranges.size(); ++i) {
       ReduceAcc* acc = reduce_mode ? &accs[i] : nullptr;
       const nosql::Range& range = ranges[i];
-      futures.push_back(pool.submit([&view, &table_a, &table_b, &options,
-                                     mask_ptr, acc, per_row, &range, &session,
-                                     i] {
-        return run_partition(*view, table_a, table_b, options, mask_ptr, acc,
-                             per_row, range, session.get(), i);
+      futures.push_back(pool.submit([&plane, &view, &table_a, &table_b,
+                                     &table_c, &options, mask_ptr, acc,
+                                     per_row, &range,
+                                     stream = stream_prefix + std::to_string(i)] {
+        return run_partition(plane, *view, table_a, table_b, table_c, options,
+                             mask_ptr, acc, per_row, range, stream);
       }));
     }
     // Flush barrier: join every worker (collecting its counters) before

@@ -35,11 +35,14 @@
 // independently retryable unit. A transient failure — an injected
 // fault, a WAL hiccup the lower-level retries could not absorb —
 // abandons the attempt's buffered writes and re-runs the partition on
-// fresh scans with a fresh writer, skipping the prefix of its
-// deterministic mutation stream that prior attempts already made
-// durable (exactly-once emission, so even non-idempotent combiners
-// fold correctly). An optional per-partition deadline turns a hung
-// partition into a warning + stats flag instead of a stall.
+// fresh scans with a fresh writer. Partition p writes its deterministic
+// mutation stream on writer stream "tm/<nonce>/<p>" (one random nonce
+// per multiply), and every attempt resends it from sequence 0: the
+// Instance that applies it skips what earlier attempts applied, so no
+// partial product lands twice and even non-idempotent combiners fold
+// correctly — on both data planes. An optional per-partition deadline
+// turns a hung partition into a warning + stats flag instead of a
+// stall.
 //
 // Masking and fusion (DESIGN.md §13): a structural mask table M gates
 // the output — partial products whose (row, qualifier) M does not name
@@ -88,8 +91,8 @@ struct TableMultOptions {
   /// error surviving the lower-level retries) is re-run this many times
   /// on fresh scans + a fresh writer. Re-runs are exactly-once: the
   /// retry regenerates the partition's deterministic mutation stream
-  /// and skips the prefix already durably applied, so no partial
-  /// product is written twice.
+  /// on the same writer stream, and the Instance skips the prefix
+  /// already applied, so no partial product is written twice.
   std::size_t max_partition_retries = 2;
   /// Wall-clock budget per partition attempt; zero = unlimited. A
   /// partition that exceeds it aborts cooperatively and is reported as

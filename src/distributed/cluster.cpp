@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <thread>
-#include <random>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -170,7 +169,7 @@ class ClusterScanIterator : public nosql::SortedKVIterator {
 /// stream per server. The sequence number of a mutation is fixed when
 /// it is buffered, so a batch resent after a lost ack (or a flush
 /// resumed after an exhausted retry) carries the same numbers and the
-/// server's high-water mark dedups the already-applied prefix.
+/// server's Instance skips the already-applied prefix.
 class ClusterBatchWriter : public nosql::MutationSink {
  public:
   ClusterBatchWriter(Cluster& cluster, std::string table,
@@ -223,7 +222,6 @@ class ClusterBatchWriter : public nosql::MutationSink {
         const auto resp = proto::decode_write_batch_response(body);
         if (resp.skipped > 0) write_dedup_counter().inc(resp.skipped);
         stream.acked_seq += chunk;
-        written_ += chunk;
         for (std::size_t i = 0; i < chunk; ++i) {
           buffered_bytes_ -= stream.buffer[i].estimated_bytes();
         }
@@ -245,8 +243,6 @@ class ClusterBatchWriter : public nosql::MutationSink {
     buffered_bytes_ = 0;
     closed_ = true;
   }
-
-  std::size_t mutations_written() const noexcept override { return written_; }
 
   const std::optional<std::string>& last_error() const noexcept override {
     return last_error_;
@@ -281,9 +277,8 @@ class ClusterBatchWriter : public nosql::MutationSink {
   Cluster& cluster_;
   std::string table_;
   std::string writer_id_;
-  std::vector<Stream> streams_;  ///< one dedup stream per server
+  std::vector<Stream> streams_;  ///< one sequenced stream per server
   std::size_t buffered_bytes_ = 0;
-  std::size_t written_ = 0;
   bool closed_ = false;
   std::optional<std::string> last_error_;
   ErrorKind last_error_kind_ = ErrorKind::kNone;
@@ -411,38 +406,7 @@ class RemoteReadView : public core::TableMultDataPlane::ReadView {
   Cluster& cluster_;
 };
 
-class RemoteWriteSession : public core::TableMultDataPlane::WriteSession {
- public:
-  RemoteWriteSession(Cluster& cluster, std::string table,
-                     std::uint64_t session_nonce)
-      : cluster_(cluster),
-        table_(std::move(table)),
-        prefix_("tm/" + std::to_string(session_nonce) + "/") {}
-
-  std::unique_ptr<nosql::MutationSink> open_writer(
-      std::size_t partition) override {
-    // A retried partition re-opens the SAME index, hence the SAME
-    // writer id: its resent stream dedups against the prior attempt's
-    // server-side high-water marks.
-    return cluster_.writer(table_, prefix_ + std::to_string(partition));
-  }
-
-  bool exactly_once() const noexcept override { return true; }
-
- private:
-  Cluster& cluster_;
-  std::string table_;
-  std::string prefix_;
-};
-
 }  // namespace
-
-ClusterDataPlane::ClusterDataPlane(Cluster& cluster) : cluster_(cluster) {
-  // Nonce space per client process: two multiplies (or two client
-  // processes) must not share dedup streams on the servers.
-  std::random_device rd;
-  next_session_ = (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-}
 
 bool ClusterDataPlane::table_exists(const std::string& table) {
   return cluster_.table_exists(table);
@@ -462,10 +426,9 @@ ClusterDataPlane::open_read_view(const std::vector<std::string>& tables) {
   return std::make_unique<RemoteReadView>(cluster_);
 }
 
-std::unique_ptr<core::TableMultDataPlane::WriteSession>
-ClusterDataPlane::open_write_session(const std::string& table) {
-  return std::make_unique<RemoteWriteSession>(
-      cluster_, table, next_session_.fetch_add(1, std::memory_order_relaxed));
+std::unique_ptr<nosql::MutationSink> ClusterDataPlane::open_writer(
+    const std::string& table, const std::string& stream) {
+  return cluster_.writer(table, stream);
 }
 
 std::vector<std::string> ClusterDataPlane::partition_rows(

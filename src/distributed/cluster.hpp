@@ -19,15 +19,15 @@
 //               re-opens from the last delivered key.
 //   writer()  -> nosql::MutationSink routing each mutation to the
 //               owning server, with per-server sequence-numbered
-//               batches the servers dedup — resends after lost acks
-//               apply exactly once (see proto::WriteBatchRequest).
+//               batches on one writer stream — each server's Instance
+//               skips what it already applied, so resends after lost
+//               acks apply exactly once (see proto::WriteBatchRequest).
 //
 // ClusterDataPlane adapts a Cluster to core::TableMultDataPlane:
 // table_mult(plane, ...) then scans its inputs remotely, cuts the row
 // space at the cluster's server boundaries (one partition per server),
 // and routes its partial products to the owning servers.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -104,7 +104,7 @@ class Cluster {
   nosql::IterPtr scan(const std::string& table, const nosql::Range& range);
 
   /// Buffered exactly-once writer into `table`. `writer_id` names the
-  /// dedup stream: reuse the SAME id when re-generating and resending a
+  /// writer stream: reuse the SAME id when re-generating and resending a
   /// logical stream (e.g. a retried TableMult partition) and a FRESH id
   /// for an unrelated stream.
   std::unique_ptr<nosql::MutationSink> writer(const std::string& table,
@@ -127,20 +127,19 @@ class Cluster {
 /// server for the lease's life, but there is no cross-scan (or
 /// cross-server) snapshot handle over the wire — a documented non-goal
 /// (DESIGN.md §14); run distributed multiplies against quiescent inputs
-/// or accept per-scan cuts. Write sessions are exactly-once: each
-/// multiply draws a fresh session nonce, partition p writes stream
-/// "tm/<nonce>/<p>", and retried partitions resend the stream from
-/// sequence 0 while the owning servers skip the applied prefix.
+/// or accept per-scan cuts. Writers are Cluster::writer streams, so a
+/// retried partition's resend is skipped by the owning servers up to
+/// what they already applied.
 class ClusterDataPlane : public core::TableMultDataPlane {
  public:
-  explicit ClusterDataPlane(Cluster& cluster);
+  explicit ClusterDataPlane(Cluster& cluster) : cluster_(cluster) {}
 
   bool table_exists(const std::string& table) override;
   void ensure_table(const std::string& table, bool sum_combiner) override;
   std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables) override;
-  std::unique_ptr<WriteSession> open_write_session(
-      const std::string& table) override;
+  std::unique_ptr<nosql::MutationSink> open_writer(
+      const std::string& table, const std::string& stream) override;
   /// The cluster's static server boundaries, regardless of `pieces`:
   /// one partition per server aligns each partition's scans and writes
   /// with one server's ownership range.
@@ -151,7 +150,6 @@ class ClusterDataPlane : public core::TableMultDataPlane {
 
  private:
   Cluster& cluster_;
-  std::atomic<std::uint64_t> next_session_;  ///< nonce per write session
 };
 
 /// C += A^T * B across the cluster's tablet servers: the core kernel

@@ -5,13 +5,13 @@
 //
 //   graphulo_tsd --port 0 --server-index 1 --boundaries v|0003000,v|0006000
 //                --data-dir /tmp/tsd1 [--lease-ttl-ms 30000]
-//                [--scan-batch 2048] [--max-frame-bytes N] [--no-wal-sync]
+//                [--scan-batch 2048] [--max-frame-bytes N]
 //
-// Durability: every write batch is WAL-logged and synced before its ack
-// (unless --no-wal-sync). On SIGTERM/SIGINT the daemon drains (every
-// in-flight request answers kShuttingDown), checkpoints, and exits;
-// after a kill -9 the next start replays checkpoint + WAL tail and
-// serves byte-identical data. Table configs are code, not data: the
+// Durability: every write batch is WAL-logged and synced before its ack,
+// writer stream high-water marks included. On SIGTERM/SIGINT the daemon
+// drains (every in-flight request answers kShuttingDown), checkpoints,
+// and exits; after a kill -9 the next start replays checkpoint + WAL
+// tail and serves byte-identical data and stream marks. Table configs are code, not data: the
 // presets sidecar (<data-dir>/presets.txt, "preset table" lines,
 // appended whenever kEnsureTable creates a table) tells recovery which
 // preset to recreate each table with.
@@ -53,7 +53,6 @@ struct Args {
   std::uint32_t lease_ttl_ms = 30000;
   std::uint32_t scan_batch = 2048;
   std::uint32_t max_frame_bytes = graphulo::rpc::kDefaultMaxFrameBytes;
-  bool wal_sync = true;
 };
 
 std::vector<std::string> split_commas(const std::string& s) {
@@ -70,7 +69,7 @@ int usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " --data-dir DIR [--port N] [--server-index N]\n"
                "  [--boundaries r1,r2,...] [--lease-ttl-ms N]\n"
-               "  [--scan-batch N] [--max-frame-bytes N] [--no-wal-sync]\n";
+               "  [--scan-batch N] [--max-frame-bytes N]\n";
   return 2;
 }
 
@@ -108,8 +107,6 @@ bool parse_args(int argc, char** argv, Args& args) {
       const char* v = next();
       if (!v) return false;
       args.max_frame_bytes = static_cast<std::uint32_t>(std::stoul(v));
-    } else if (arg == "--no-wal-sync") {
-      args.wal_sync = false;
     } else {
       std::cerr << "unknown argument: " << arg << "\n";
       return false;
@@ -184,7 +181,6 @@ int main(int argc, char** argv) {
   distributed::TabletServiceOptions service_options;
   service_options.lease_ttl = std::chrono::milliseconds(args.lease_ttl_ms);
   service_options.scan_batch_cells = args.scan_batch;
-  service_options.sync_wal_on_write = args.wal_sync;
   distributed::TabletService service(db, args.boundaries, args.server_index,
                                      service_options);
   service.set_on_create([&presets](const std::string& table,

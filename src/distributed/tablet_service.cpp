@@ -99,63 +99,48 @@ RpcServer::Response TabletService::handle_write_batch(
     return {Status::kNoSuchTable, "no such table: " + req.table};
   }
   // Admission is charged for the whole batch up front: a shed batch is
-  // rejected before any of it applies, and the client's resend dedups
-  // cleanly either way.
+  // rejected before any of it applies, and the client's resend is
+  // skipped cleanly either way.
   if (auto session = write_session_for(req.table)) {
     db_.admission(req.table)->admit_write(*session,
                                           req.mutations.size());
   }
 
-  const std::string stream_key = req.writer_id + '\0' + req.table;
-  std::uint64_t hwm;  // next expected sequence number for this stream
-  {
-    std::lock_guard lock(mutex_);
-    hwm = dedup_[stream_key];
-  }
   const nosql::Range owned = owned_range();
   proto::WriteBatchResponse resp;
-  std::uint64_t seen = hwm;
   try {
+    // The guard serializes this stream's check-and-apply for the whole
+    // batch: a resend racing the original waits, then skips what the
+    // original applied.
+    auto stream = db_.lock_stream(req.table, req.writer_id);
     for (std::size_t i = 0; i < req.mutations.size(); ++i) {
       if (deadline_passed(deadline)) {
         throw nosql::DeadlineExceeded(
             "write batch exceeded its deadline after " +
             std::to_string(resp.applied) + " mutations");
       }
-      const std::uint64_t seq = req.first_seq + i;
-      if (seq < hwm) {
-        ++resp.skipped;
-        continue;
-      }
       const auto& m = req.mutations[i];
       if (!owned.contains(nosql::min_key_for_row(m.row()))) {
         throw nosql::wire::WireError("mutation row '" + m.row() +
                                      "' routed to the wrong server");
       }
-      db_.apply(req.table, m);
-      ++resp.applied;
-      seen = std::max(seen, seq + 1);
+      if (stream.apply(m, req.first_seq + i)) {
+        ++resp.applied;
+      } else {
+        ++resp.skipped;
+      }
     }
-    // Durable ack: the WAL holds everything this batch applied before
-    // the client sees kOk.
-    if (resp.applied > 0 && options_.sync_wal_on_write) db_.sync_wal();
   } catch (...) {
-    // The applied prefix is real; record it so the client's resend of
-    // this batch (same first_seq) dedups instead of double-applying.
-    std::lock_guard lock(mutex_);
-    auto& entry = dedup_[stream_key];
-    entry = std::max(entry, seen);
     writes_applied_ += resp.applied;
     writes_skipped_ += resp.skipped;
     throw;
   }
-  {
-    std::lock_guard lock(mutex_);
-    auto& entry = dedup_[stream_key];
-    entry = std::max(entry, seen);
-  }
   writes_applied_ += resp.applied;
   writes_skipped_ += resp.skipped;
+  // Durable ack: the WAL holds everything below the stream's mark
+  // before the client sees kOk. An all-skipped resend syncs too — the
+  // request that applied its mutations may have failed before its sync.
+  if (!req.mutations.empty()) db_.sync_wal();
   return {Status::kOk, proto::encode(resp)};
 }
 

@@ -5,11 +5,12 @@
 // against the wrapped Instance:
 //
 //   kWriteBatch    exactly-once bulk apply — each (writer_id, table)
-//                  stream carries sequence numbers and the service
-//                  keeps a per-stream high-water mark, so a batch
-//                  resent after a lost ack skips its already-applied
-//                  prefix. Admission-charged per mutation; the WAL is
-//                  synced before the ack (durable acknowledgements).
+//                  pair is a writer stream of the Instance, which
+//                  skips sequence numbers below the stream's persisted
+//                  high-water mark, so a batch resent after a lost ack
+//                  (or a restart) skips its already-applied prefix.
+//                  Admission-charged per mutation; the WAL is synced
+//                  before the ack (durable acknowledgements).
 //   kScanOpen /    leased, resumable scans: open pins an MVCC snapshot,
 //   kScanContinue/ takes an admission scan slot (RAII ticket, held for
 //   kScanClose     the lease's life), and returns a lease id; continue
@@ -29,11 +30,12 @@
 // overruns throw nosql::DeadlineExceeded (wire status kDeadline).
 //
 // Thread-safety: handle() is called concurrently from the server's
-// per-connection threads. The Instance's entry points are thread-safe;
-// the service's own state (dedup high-water marks, the lease table,
-// per-table admission sessions) is mutex-protected. A lease is checked
-// OUT of the table while a continue drains it, so concurrent continues
-// on different leases never serialize on one scan.
+// per-connection threads. The Instance's entry points are thread-safe
+// (a write batch holds its stream's guard while it applies); the
+// service's own state (the lease table, per-table admission sessions)
+// is mutex-protected. A lease is checked OUT of the table while a
+// continue drains it, so concurrent continues on different leases
+// never serialize on one scan.
 
 #include <atomic>
 #include <chrono>
@@ -60,9 +62,6 @@ struct TabletServiceOptions {
   std::chrono::milliseconds lease_ttl{30000};
   /// Default cells per kScanContinue when the open request passes 0.
   std::uint32_t scan_batch_cells = 2048;
-  /// Sync the WAL before acking a write batch (durable acks). Leave on
-  /// except in benchmarks that measure the difference.
-  bool sync_wal_on_write = true;
 };
 
 class TabletService {
@@ -137,10 +136,8 @@ class TabletService {
   TabletServiceOptions options_;
   CreateHook on_create_;
 
-  mutable std::mutex mutex_;  ///< guards leases_, dedup_, write_sessions_
+  mutable std::mutex mutex_;  ///< guards leases_, write_sessions_
   std::map<std::uint64_t, std::unique_ptr<Lease>> leases_;
-  /// (writer_id + '\0' + table) -> next expected sequence number.
-  std::map<std::string, std::uint64_t> dedup_;
   std::map<std::string, std::shared_ptr<nosql::AdmissionSession>>
       write_sessions_;
   std::atomic<std::uint64_t> next_lease_id_{1};

@@ -68,9 +68,12 @@ void BatchWriter::flush() {
     if (admission_ && !session_) session_ = admission_->make_session();
     admission_resolved_ = true;
   }
-  std::size_t applied = 0;
+  std::optional<Instance::StreamGuard> stream;
+  if (stream_) stream.emplace(instance_.lock_stream(table_, *stream_));
+  std::size_t applied = 0;  // buffered mutations handled (applied or skipped)
   try {
     for (; applied < buffer_.size(); ++applied) {
+      bool landed = true;
       std::size_t attempts = 0;
       util::with_retries("BatchWriter::flush", retry_, [&] {
         if (++attempts > 1) bw_retries().inc();
@@ -80,8 +83,13 @@ void BatchWriter::flush() {
         // admission layer's back-pressure, surfaced typed to callers
         // once retries run out.
         if (admission_) admission_->admit_write(*session_);
-        instance_.apply(table_, buffer_[applied]);
+        if (stream) {
+          landed = stream->apply(buffer_[applied], buffer_seq_ + applied);
+        } else {
+          instance_.apply(table_, buffer_[applied]);
+        }
       });
+      if (!landed) continue;
       ++written_;
       bw_mutations().inc();
     }
@@ -92,10 +100,12 @@ void BatchWriter::flush() {
     // where this one failed, with no duplicate applies.
     buffer_.erase(buffer_.begin(),
                   buffer_.begin() + static_cast<std::ptrdiff_t>(applied));
+    buffer_seq_ += applied;
     buffered_bytes_ = 0;
     for (const auto& m : buffer_) buffered_bytes_ += m.estimated_bytes();
     throw;
   }
+  buffer_seq_ += buffer_.size();
   buffer_.clear();
   buffered_bytes_ = 0;
 }

@@ -15,6 +15,11 @@
 // discards the buffer for callers that will re-generate the mutations
 // themselves (e.g. a retried TableMult partition).
 //
+// Sequenced writers (constructed with a stream id) number their
+// mutations 0, 1, 2, ... in add order and flush through one
+// Instance::StreamGuard, so a stream resent from 0 under the same id (a
+// retried TableMult partition) skips what an earlier writer applied.
+//
 // Concurrency contract (audited for the parallel TableMult pipeline):
 // one BatchWriter instance is NOT thread-safe — it buffers in plain
 // members and must be confined to a single thread. Any number of
@@ -50,6 +55,14 @@ class BatchWriter : public MutationSink {
   BatchWriter(Instance& instance, std::string table,
               std::size_t max_buffer_bytes = 4 << 20,
               util::RetryPolicy retry = {});
+
+  /// A sequenced writer on writer stream `stream` (see file comment).
+  BatchWriter(Instance& instance, std::string table, std::string stream,
+              std::size_t max_buffer_bytes = 4 << 20,
+              util::RetryPolicy retry = {})
+      : BatchWriter(instance, std::move(table), max_buffer_bytes, retry) {
+    stream_ = std::move(stream);
+  }
 
   /// Flushes remaining mutations unless close()/abandon() already ran.
   /// Destruction never throws; a failing final flush is logged as a
@@ -99,8 +112,9 @@ class BatchWriter : public MutationSink {
   }
 
   /// Mutations applied to the instance so far (exact, maintained
-  /// per-mutation — meaningful mid-failure).
-  std::size_t mutations_written() const noexcept override { return written_; }
+  /// per-mutation — meaningful mid-failure). A sequenced writer does not
+  /// count the mutations its stream skipped.
+  std::size_t mutations_written() const noexcept { return written_; }
 
   /// Mutations still buffered (unapplied).
   std::size_t mutations_pending() const noexcept { return buffer_.size(); }
@@ -112,6 +126,8 @@ class BatchWriter : public MutationSink {
   util::RetryPolicy retry_;
   std::size_t buffered_bytes_ = 0;
   std::vector<Mutation> buffer_;
+  std::optional<std::string> stream_;  ///< set for a sequenced writer
+  std::uint64_t buffer_seq_ = 0;       ///< sequence number of buffer_[0]
   std::size_t written_ = 0;
   bool closed_ = false;
   std::optional<std::string> last_error_;

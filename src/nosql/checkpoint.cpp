@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 
 #include "nosql/manifest.hpp"
 #include "util/checksum.hpp"
@@ -16,7 +17,7 @@ namespace graphulo::nosql {
 
 namespace {
 
-constexpr std::uint32_t kCheckpointMagic = 0x47434b32;  // "GCK2"
+constexpr std::uint32_t kCheckpointMagic = 0x47434b33;  // "GCK3" (+ streams)
 
 void put_u64(std::string& buf, std::uint64_t v) {
   buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -53,12 +54,14 @@ struct PayloadReader {
   }
 };
 
-/// One table's snapshot (catalog + unflushed cells), decoded. Flushed
-/// data travels separately as manifest + file artifacts.
+/// One table's snapshot (catalog + unflushed cells + writer stream
+/// marks), decoded. Flushed data travels separately as manifest + file
+/// artifacts.
 struct TableSnapshot {
   std::string name;
   std::vector<std::string> splits;
   std::vector<Cell> cells;  ///< unflushed (memtable + frozen) only
+  std::map<std::string, std::uint64_t> streams;  ///< id -> high-water mark
 };
 
 /// Decoded main-snapshot payload.
@@ -192,6 +195,14 @@ std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
       payload.push_back(c.key.deleted ? 1 : 0);
       put_string(payload, c.value);
     }
+    // Stream marks ride with their table: the WAL records that raised
+    // them are about to be rotated away.
+    const auto streams = db.stream_marks(name);
+    put_u64(payload, streams.size());
+    for (const auto& [stream, next_seq] : streams) {
+      put_string(payload, stream);
+      put_u64(payload, next_seq);
+    }
     stats.cells += cells.size();
     ++stats.tables;
   }
@@ -236,6 +247,16 @@ bool decode_checkpoint(const std::string& payload, CheckpointImage& image) {
       c.key.deleted = del != 0;
       if (!reader.read_string(c.value)) return false;
       snap.cells.push_back(std::move(c));
+    }
+    std::uint64_t stream_count = 0;
+    if (!reader.read_u64(stream_count)) return false;
+    for (std::uint64_t i = 0; i < stream_count; ++i) {
+      std::string stream;
+      std::uint64_t next_seq = 0;
+      if (!reader.read_string(stream) || !reader.read_u64(next_seq)) {
+        return false;
+      }
+      snap.streams.emplace(std::move(stream), next_seq);
     }
     image.tables.push_back(std::move(snap));
   }
@@ -459,6 +480,9 @@ RecoveryStats recover_instance(Instance& db,
     for (auto& snap : image.tables) {
       stats.cells_restored += snap.cells.size();
       db.restore_cells(snap.name, std::move(snap.cells));
+      for (const auto& [stream, next_seq] : snap.streams) {
+        db.restore_stream_mark(snap.name, stream, next_seq);
+      }
       ++stats.tables_restored;
     }
     db.advance_clock(image.clock);

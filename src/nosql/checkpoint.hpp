@@ -2,14 +2,15 @@
 // WAL checkpoint + rotation: bounds crash-recovery time by live data
 // instead of total write history.
 //
-// A checkpoint (format GCK2) persists the instance as three artifacts:
+// A checkpoint (format GCK3) persists the instance as three artifacts:
 //
 //   <path>                 main snapshot: catalog (table names + split
 //                          points), each tablet's UNFLUSHED cells
 //                          (memtable + frozen, versions and delete
-//                          markers preserved), the logical clock, the
-//                          covered WAL sequence, and the artifact epoch
-//                          — CRC-protected, written tmp + rename.
+//                          markers preserved), each table's writer
+//                          stream high-water marks, the logical clock,
+//                          the covered WAL sequence, and the artifact
+//                          epoch — CRC-protected, written tmp + rename.
 //   <path>.manifest-<E>    a MANIFEST (see manifest.hpp): one
 //                          VersionEdit per tablet describing its
 //                          leveled file set (level, key range, seq,

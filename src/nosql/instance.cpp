@@ -259,7 +259,8 @@ std::shared_ptr<Tablet> Instance::route_locked(Table& table,
   return tablets[lo];
 }
 
-void Instance::apply(const std::string& name, const Mutation& mutation) {
+void Instance::apply_logged(const std::string& name, const Mutation& mutation,
+                            const std::string* stream, std::uint64_t seq) {
   // The timestamp is assigned ONCE: a retried attempt reuses it, so the
   // logical clock sequence (and therefore recovered state) is identical
   // whether or not transient faults fired along the way.
@@ -275,9 +276,64 @@ void Instance::apply(const std::string& name, const Mutation& mutation) {
     // one record. The tablet apply below contains its own transient
     // failures (deferred flush/compaction), so nothing after the log
     // write throws transiently — no double-logging window.
-    if (wal_) wal_->log_mutation(name, mutation, ts);
+    if (wal_) wal_->log_mutation(name, mutation, ts, stream, seq);
     servers_[static_cast<std::size_t>(sid)]->apply(*tablet, mutation, ts);
   });
+}
+
+Instance::StreamGuard Instance::lock_stream(const std::string& table,
+                                            const std::string& stream) {
+  std::shared_ptr<Table::WriterStream> state;
+  {
+    std::shared_lock lock(catalog_mutex_);
+    Table& t = get_table(table);
+    std::lock_guard streams_lock(t.streams_mutex_);
+    auto& slot = t.streams_[stream];
+    if (!slot) slot = std::make_shared<Table::WriterStream>();
+    state = slot;
+  }
+  // Locked after the catalog lock is released: the guard holds the
+  // stream lock across applies, which take the catalog lock shared.
+  return StreamGuard(*this, table, stream, std::move(state));
+}
+
+bool Instance::StreamGuard::apply(const Mutation& mutation, std::uint64_t seq) {
+  const std::uint64_t mark = state_->next_seq;
+  if (seq < mark) return false;
+  if (seq > mark) {
+    throw std::invalid_argument("stream " + stream_ + " of " + table_ +
+                                ": sequence " + std::to_string(seq) +
+                                " is past its mark " + std::to_string(mark));
+  }
+  db_->apply_logged(table_, mutation, &stream_, seq);
+  state_->next_seq = seq + 1;
+  return true;
+}
+
+std::map<std::string, std::uint64_t> Instance::stream_marks(
+    const std::string& table) const {
+  std::map<std::string, std::shared_ptr<Table::WriterStream>> streams;
+  {
+    std::shared_lock lock(catalog_mutex_);
+    const Table& t = get_table(table);
+    std::lock_guard streams_lock(t.streams_mutex_);
+    streams = t.streams_;
+  }
+  // Each mark is read under its stream's lock, taken (like a guard's)
+  // with the catalog lock released.
+  std::map<std::string, std::uint64_t> marks;
+  for (const auto& [stream, state] : streams) {
+    std::lock_guard lock(state->mutex);
+    marks.emplace(stream, state->next_seq);
+  }
+  return marks;
+}
+
+void Instance::restore_stream_mark(const std::string& table,
+                                   const std::string& stream,
+                                   std::uint64_t next_seq) {
+  const auto guard = lock_stream(table, stream);
+  if (guard.state_->next_seq < next_seq) guard.state_->next_seq = next_seq;
 }
 
 void Instance::apply_replayed(const std::string& name,
@@ -403,9 +459,13 @@ std::size_t recover_from_wal(Instance& db, const std::string& path,
             }
             break;
           case WalRecord::Kind::kMutation:
-            if (db.table_exists(record.table)) {
-              db.apply_replayed(record.table, record.mutation,
-                                record.assigned_ts);
+          case WalRecord::Kind::kStreamMutation:
+            if (!db.table_exists(record.table)) break;
+            db.apply_replayed(record.table, record.mutation,
+                              record.assigned_ts);
+            if (record.kind == WalRecord::Kind::kStreamMutation) {
+              db.restore_stream_mark(record.table, record.stream,
+                                     record.stream_seq + 1);
             }
             break;
         }

@@ -3,6 +3,8 @@
 // routing, and the logical timestamp authority — the in-process stand-in
 // for an Accumulo cluster (see DESIGN.md for what this substitution
 // preserves).
+// It is also the one place exactly-once writes are decided: see
+// StreamGuard and DESIGN.md §14.4.
 
 #include <atomic>
 #include <functional>
@@ -68,6 +70,15 @@ class Table {
   std::unique_ptr<BlockCache> cache_;    // stable address for tablets
   std::vector<std::shared_ptr<Tablet>> tablets_;
   std::vector<int> tablet_server_of_;  ///< parallel to tablets_
+
+  /// A writer stream, dropped with its table: the lock a StreamGuard
+  /// holds and the high-water mark (the next sequence number expected).
+  struct WriterStream {
+    std::mutex mutex;
+    std::uint64_t next_seq = 0;
+  };
+  mutable std::mutex streams_mutex_;  ///< guards the map, not its streams
+  std::map<std::string, std::shared_ptr<WriterStream>> streams_;
 };
 
 class Instance {
@@ -127,7 +138,50 @@ class Instance {
   /// append are retried with bounded exponential backoff; the timestamp
   /// is assigned once, before the first attempt, so retries do not
   /// perturb the logical clock sequence.
-  void apply(const std::string& name, const Mutation& mutation);
+  void apply(const std::string& name, const Mutation& mutation) {
+    apply_logged(name, mutation, nullptr, 0);
+  }
+
+  /// Exclusive hold on one writer stream, a (stream id, table) pair whose
+  /// mutations carry sequence numbers 0, 1, 2, ...: a resend racing its
+  /// original waits, then skips what the original applied.
+  class StreamGuard {
+   public:
+    /// Applies `mutation` like apply() when `seq` is the stream's
+    /// high-water mark, advancing the mark in the mutation's own WAL
+    /// record. Below the mark the mutation is skipped (false, and no
+    /// timestamp is taken); above it, a gap, throws invalid_argument.
+    bool apply(const Mutation& mutation, std::uint64_t seq);
+
+   private:
+    friend class Instance;
+    StreamGuard(Instance& db, std::string table, std::string stream,
+                std::shared_ptr<Table::WriterStream> state)
+        : db_(&db),
+          table_(std::move(table)),
+          stream_(std::move(stream)),
+          state_(std::move(state)),
+          lock_(state_->mutex) {}
+
+    Instance* db_;
+    std::string table_;
+    std::string stream_;
+    std::shared_ptr<Table::WriterStream> state_;
+    std::unique_lock<std::mutex> lock_;
+  };
+
+  /// Locks writer stream `stream` of `table`, created at mark 0 on first
+  /// use and never retired while the table lives.
+  StreamGuard lock_stream(const std::string& table, const std::string& stream);
+
+  /// Every writer stream of `table` with its high-water mark.
+  std::map<std::string, std::uint64_t> stream_marks(
+      const std::string& table) const;
+
+  /// Raises the mark of `stream` in `table` to at least `next_seq` (the
+  /// checkpoint restore and WAL replay path).
+  void restore_stream_mark(const std::string& table, const std::string& stream,
+                           std::uint64_t next_seq);
 
   /// Applies a mutation with a pre-assigned timestamp and NO WAL write —
   /// the replay path of crash recovery. Advances the logical clock past
@@ -270,6 +324,9 @@ class Instance {
   const Table& get_table(const std::string& name) const;
   std::shared_ptr<Tablet> route_locked(Table& table, const std::string& row,
                                        int* server_id) const;
+  /// apply(), logging `seq` of `stream` with the mutation when non-null.
+  void apply_logged(const std::string& name, const Mutation& mutation,
+                    const std::string* stream, std::uint64_t seq);
 
   mutable std::shared_mutex catalog_mutex_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
@@ -291,7 +348,8 @@ using TableConfigProvider = std::function<TableConfig(const std::string&)>;
 
 /// Crash recovery: replays the WAL at `path` into `db` (normally a
 /// fresh instance), honoring every journaled record kind (create,
-/// delete, clone, splits, mutations). Tables are recreated with
+/// delete, clone, splits, mutations; a sequenced mutation also raises
+/// its stream's high-water mark). Tables are recreated with
 /// `config_for` (default configs when omitted) — iterator settings
 /// remain code-side. Only records with seq >= `min_seq` are applied
 /// (checkpoint recovery passes the checkpoint's covered sequence).

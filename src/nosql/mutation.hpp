@@ -62,8 +62,7 @@ class Mutation {
 /// are agnostic to where their output lands. Contract mirrors
 /// BatchWriter: add_mutation may auto-flush and throw; close() is the
 /// explicit way to observe the final flush; abandon() discards buffered
-/// work for callers that re-generate it on retry; mutations_written()
-/// is exact and meaningful mid-failure.
+/// work for callers that re-generate it on retry.
 class MutationSink {
  public:
   /// What kind of failure last_error() records — callers distinguish a
@@ -83,7 +82,6 @@ class MutationSink {
   virtual void flush() = 0;
   virtual void close() = 0;
   virtual void abandon() noexcept = 0;
-  virtual std::size_t mutations_written() const noexcept = 0;
   virtual const std::optional<std::string>& last_error() const noexcept = 0;
   virtual ErrorKind last_error_kind() const noexcept = 0;
 };

@@ -97,6 +97,10 @@ std::string encode_body(const WalRecord& record) {
       put_u64(body, record.splits.size());
       for (const auto& s : record.splits) put_string(body, s);
       break;
+    case WalRecord::Kind::kStreamMutation:
+      put_string(body, record.stream);
+      put_u64(body, record.stream_seq);
+      [[fallthrough]];
     case WalRecord::Kind::kMutation: {
       put_u64(body, static_cast<std::uint64_t>(record.assigned_ts));
       put_string(body, record.mutation.row());
@@ -134,7 +138,7 @@ bool decode_body(const std::string& body, WalRecord& record) {
   if (!get_u64(body, pos, record.seq)) return false;
   if (pos >= body.size()) return false;
   const auto kind = static_cast<std::uint8_t>(body[pos++]);
-  if (kind < 1 || kind > 5) return false;
+  if (kind < 1 || kind > 6) return false;
   record.kind = static_cast<WalRecord::Kind>(kind);
   if (!get_string(body, pos, record.table)) return false;
   switch (record.kind) {
@@ -155,6 +159,12 @@ bool decode_body(const std::string& body, WalRecord& record) {
       }
       return pos == body.size();
     }
+    case WalRecord::Kind::kStreamMutation:
+      if (!get_string(body, pos, record.stream) ||
+          !get_u64(body, pos, record.stream_seq)) {
+        return false;
+      }
+      break;
     case WalRecord::Kind::kMutation:
       break;
   }
@@ -463,12 +473,17 @@ void WriteAheadLog::log_add_splits(const std::string& table,
 
 void WriteAheadLog::log_mutation(const std::string& table,
                                  const Mutation& mutation,
-                                 Timestamp assigned_ts) {
+                                 Timestamp assigned_ts,
+                                 const std::string* stream,
+                                 std::uint64_t stream_seq) {
   WalRecord r;
-  r.kind = WalRecord::Kind::kMutation;
+  r.kind = stream != nullptr ? WalRecord::Kind::kStreamMutation
+                             : WalRecord::Kind::kMutation;
   r.table = table;
   r.assigned_ts = assigned_ts;
   r.mutation = mutation;
+  if (stream != nullptr) r.stream = *stream;
+  r.stream_seq = stream_seq;
   write_record(std::move(r));
 }
 

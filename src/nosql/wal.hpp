@@ -2,9 +2,11 @@
 // Write-ahead log: durability for the in-process store. Every catalog
 // event (create/delete/clone table, split additions) and every mutation
 // is appended as a length-prefixed, sequence-numbered record before it
-// is applied; recovery replays the log into a fresh instance. Torn
-// tails — a record cut off mid-write by a crash — are detected and
-// ignored.
+// is applied; recovery replays the log into a fresh instance. A
+// mutation of a sequenced writer stream carries its stream id and
+// sequence number in the same record, so replay restores the stream's
+// high-water mark together with its data. Torn tails — a record cut
+// off mid-write by a crash — are detected and ignored.
 //
 // Appends go through one of three sync modes (WalOptions::sync_mode):
 //
@@ -52,6 +54,7 @@ struct WalRecord {
     kMutation = 3,
     kCloneTable = 4,  ///< table = source, aux = clone target
     kAddSplits = 5,   ///< splits = the added split rows
+    kStreamMutation = 6,  ///< a mutation + its stream id and sequence number
   };
   Kind kind;
   std::uint64_t seq = 0;  ///< monotonic record sequence number
@@ -59,7 +62,9 @@ struct WalRecord {
   std::string aux;                  ///< clone target for kCloneTable
   std::vector<std::string> splits;  ///< for kAddSplits
   Timestamp assigned_ts = 0;        ///< for mutations
-  Mutation mutation{""};            ///< valid when kind == kMutation
+  Mutation mutation{""};            ///< valid for both mutation kinds
+  std::string stream;               ///< for kStreamMutation
+  std::uint64_t stream_seq = 0;     ///< for kStreamMutation
 };
 
 /// Append-only log writer (thread-safe). Each record is assigned the
@@ -84,8 +89,10 @@ class WriteAheadLog {
   void log_clone_table(const std::string& source, const std::string& target);
   void log_add_splits(const std::string& table,
                       const std::vector<std::string>& splits);
+  /// A kStreamMutation record when `stream` is non-null.
   void log_mutation(const std::string& table, const Mutation& mutation,
-                    Timestamp assigned_ts);
+                    Timestamp assigned_ts, const std::string* stream = nullptr,
+                    std::uint64_t stream_seq = 0);
 
   /// Makes every record appended so far durable (write + fsync),
   /// regardless of sync mode.

@@ -4,6 +4,7 @@
 // and nothing may deadlock).
 
 #include <atomic>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -171,6 +172,48 @@ TEST(Concurrency, BatchScannerParallelDelivery) {
     seen.fetch_add(1, std::memory_order_relaxed);
   });
   EXPECT_EQ(seen.load(), 1000u);
+}
+
+/// Two local writers share one writer stream of a sum table and flush
+/// the same batch at once — the in-process form of a resend racing its
+/// original. The Instance's stream guard lets one flush apply the batch;
+/// the other waits on the stream and skips every mutation.
+TEST(Concurrency, SharedStreamWritersApplyExactlyOnce) {
+  Instance db;
+  db.create_table("S", core::sum_table_config());
+  constexpr std::size_t kBatch = 20000;
+  constexpr std::size_t kRows = 100;
+  std::atomic<int> ready{0};
+  std::size_t written[2] = {0, 0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      // One buffer holds the whole batch, so close() is its one flush.
+      BatchWriter writer(db, "S", "tm/1/0", std::size_t{1} << 30);
+      for (std::size_t i = 0; i < kBatch; ++i) {
+        Mutation m(util::zero_pad(i % kRows, 3));
+        m.put("f", "c", encode_double(1.0));
+        writer.add_mutation(std::move(m));
+      }
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      writer.close();
+      written[w] = writer.mutations_written();
+    });
+  }
+  for (auto& t : writers) t.join();
+
+  EXPECT_EQ(written[0] + written[1], kBatch);
+  EXPECT_EQ(db.stream_marks("S"),
+            (std::map<std::string, std::uint64_t>{{"tm/1/0", kBatch}}));
+  // One application: every row sums kBatch / kRows ones.
+  Scanner scan(db, "S");
+  const auto cells = scan.read_all();
+  ASSERT_EQ(cells.size(), kRows);
+  for (const auto& cell : cells) {
+    EXPECT_EQ(decode_double(cell.value), static_cast<double>(kBatch / kRows))
+        << cell.key.row;
+  }
 }
 
 }  // namespace

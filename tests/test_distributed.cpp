@@ -10,7 +10,9 @@
 //     timestamps),
 //   * SIGTERM (graceful): the shutdown checkpoint alone must carry the
 //     data, and the presets sidecar must restore the sum-combiner
-//     config so the result table keeps folding after recovery.
+//     config so the result table keeps folding after recovery,
+//   * a batch acked before either kind of restart and resent after it
+//     is skipped whole: writer stream marks survive the restart.
 
 #include <gtest/gtest.h>
 
@@ -354,6 +356,66 @@ TEST(DistributedFault, GracefulRestartKeepsDataAndTableConfig) {
   const auto cells = drain_scan(cluster, "sums");
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(nosql::decode_double(cells[0].value), 5.0);
+}
+
+/// Exactly-once across a restart: a batch acked before the daemon went
+/// down and resent after it came back (a client that never saw the ack)
+/// is skipped whole. `graceful` stops the daemon with SIGTERM, whose
+/// shutdown checkpoint truncates the WAL and so must carry the stream
+/// marks itself; otherwise kill -9 leaves them to WAL replay.
+void expect_resend_after_restart_is_skipped(const std::string& tag,
+                                            bool graceful) {
+  Fleet fleet(tag, {});
+  ASSERT_FALSE(::testing::Test::HasFatalFailure());
+
+  proto::WriteBatchRequest req;
+  req.table = "sums";
+  req.writer_id = "tm/42/0";
+  req.first_seq = 0;
+  for (int i = 0; i < 60; ++i) {
+    nosql::Mutation m(assoc::vertex_key(i % 12));
+    m.put(assoc::kValueFamily, "c", nosql::encode_double(i % 5 + 1.0));
+    req.mutations.push_back(std::move(m));
+  }
+  const std::string body = proto::encode(req);
+
+  std::vector<nosql::Cell> once;  // the table after one clean application
+  {
+    auto cluster = fleet.cluster();
+    cluster.ensure_table("sums", /*sum_combiner=*/true);
+    const auto first = proto::decode_write_batch_response(
+        cluster.call(0, rpc::Verb::kWriteBatch, body));
+    ASSERT_EQ(first.applied, 60u);  // acked: WAL-synced from here
+    once = drain_scan(cluster, "sums");
+    ASSERT_EQ(once.size(), 12u);
+  }
+
+  if (graceful) {
+    fleet.daemon(0).terminate();
+  } else {
+    fleet.daemon(0).kill_hard();
+  }
+  fleet.restart(0);
+
+  auto cluster = fleet.cluster();
+  const auto resend = proto::decode_write_batch_response(
+      cluster.call(0, rpc::Verb::kWriteBatch, body));
+  EXPECT_EQ(resend.applied, 0u);
+  EXPECT_EQ(resend.skipped, 60u);
+  const auto after = drain_scan(cluster, "sums");
+  ASSERT_EQ(after.size(), once.size());
+  for (std::size_t i = 0; i < once.size(); ++i) {
+    EXPECT_EQ(after[i], once[i]) << "cell " << i << " diverged after "
+                                 << once[i].key.to_string();
+  }
+}
+
+TEST(DistributedFault, ResendAfterKillNineAppliesExactlyOnce) {
+  expect_resend_after_restart_is_skipped("resend_kill", /*graceful=*/false);
+}
+
+TEST(DistributedFault, ResendAfterGracefulRestartAppliesExactlyOnce) {
+  expect_resend_after_restart_is_skipped("resend_term", /*graceful=*/true);
 }
 
 }  // namespace

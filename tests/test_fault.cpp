@@ -7,6 +7,7 @@
 #include <fstream>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -531,15 +532,28 @@ TEST_F(FaultTest, CheckpointBoundsReplayToTheWalTail) {
   std::remove(wal_path.c_str());
   std::remove(ckpt_path.c_str());
 
+  // Odd rows before the checkpoint go through writer stream "a" (its
+  // mark then survives only in the checkpoint, which rotates its records
+  // away); rows 101 and 103 after it go through stream "b" (its mark
+  // survives only in the tail). The rest are plain applies.
+  const auto write_row = [](Instance& db, int i, const char* stream,
+                            std::uint64_t seq) {
+    Mutation m("r" + util::zero_pad(static_cast<std::uint64_t>(i), 3));
+    m.put("f", "q", "v" + std::to_string(i));
+    if (stream != nullptr) {
+      EXPECT_TRUE(db.lock_stream("t", stream).apply(m, seq));
+    } else {
+      db.apply("t", m);
+    }
+  };
   std::uint64_t covers = 0, end = 0;
   {
     Instance db(2);
     db.attach_wal(std::make_shared<WriteAheadLog>(wal_path));
     db.create_table("t");
     for (int i = 0; i < 100; ++i) {
-      Mutation m("r" + util::zero_pad(static_cast<std::uint64_t>(i), 3));
-      m.put("f", "q", "v" + std::to_string(i));
-      db.apply("t", m);
+      write_row(db, i, i % 2 == 1 ? "a" : nullptr,
+                static_cast<std::uint64_t>(i / 2));
     }
     db.sync_wal();
     const auto ck = write_checkpoint(db, ckpt_path);
@@ -547,9 +561,8 @@ TEST_F(FaultTest, CheckpointBoundsReplayToTheWalTail) {
     EXPECT_EQ(ck.cells, 100u);
     covers = ck.covers_seq;
     for (int i = 100; i < 105; ++i) {
-      Mutation m("r" + util::zero_pad(static_cast<std::uint64_t>(i), 3));
-      m.put("f", "q", "v" + std::to_string(i));
-      db.apply("t", m);
+      write_row(db, i, i % 2 == 1 ? "b" : nullptr,
+                static_cast<std::uint64_t>((i - 100) / 2));
     }
     db.sync_wal();
     end = db.wal()->next_seq();
@@ -565,6 +578,18 @@ TEST_F(FaultTest, CheckpointBoundsReplayToTheWalTail) {
   EXPECT_EQ(r.records_replayed, 5u);
   EXPECT_EQ(r.records_replayed, end - covers);
   EXPECT_EQ(cells_of(rec, "t").size(), 105u);
+  // Stream marks: "a" from the checkpoint, "b" from the tail replay.
+  EXPECT_EQ(rec.stream_marks("t"),
+            (std::map<std::string, std::uint64_t>{{"a", 50}, {"b", 2}}));
+  {
+    Mutation resend("r099");
+    resend.put("f", "q", "v99");
+    EXPECT_FALSE(rec.lock_stream("t", "a").apply(resend, 49));
+    // A sequence number past the mark is a gap no resend can make.
+    EXPECT_THROW(rec.lock_stream("t", "a").apply(resend, 51),
+                 std::invalid_argument);
+    EXPECT_EQ(rec.stream_marks("t").at("a"), 50u);
+  }
 
   // The recovered clock is past everything replayed: a new write wins.
   Mutation m("r000");

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -509,7 +510,7 @@ TEST(RpcEndToEnd, WriteThenScanRoundTrips) {
       writer->add_mutation(std::move(m));
     }
     writer->close();
-    EXPECT_EQ(writer->mutations_written(), 50u);
+    EXPECT_EQ(cluster.status(0).writes_applied, 50u);
     EXPECT_EQ(writer->last_error_kind(), nosql::MutationSink::ErrorKind::kNone);
   }
   auto it = cluster.scan("T", nosql::Range::all());
@@ -574,6 +575,59 @@ TEST(RpcEndToEnd, WriteBatchResendIsDeduped) {
   std::set<std::string> rows;
   for (const auto& cell : drain(*it)) rows.insert(cell.key.row);
   EXPECT_EQ(rows.size(), 8u);
+}
+
+/// Two requests on one stream overlap, as when a client times out,
+/// reconnects and resends while the original request is still
+/// applying. The stream's guard serializes them: the batch lands in
+/// the sum table once, and the other request skips every mutation.
+TEST(RpcEndToEnd, ConcurrentResendsOnOneStreamApplyExactlyOnce) {
+  nosql::Instance db;
+  db.create_table("S", core::sum_table_config());
+  TabletService service(db, {}, 0);
+  constexpr std::size_t kBatch = 20000;
+  constexpr std::size_t kRows = 100;
+  proto::WriteBatchRequest req;
+  req.table = "S";
+  req.writer_id = "tm/1/0";
+  for (std::size_t i = 0; i < kBatch; ++i) {
+    nosql::Mutation m(assoc::vertex_key(static_cast<la::Index>(i % kRows)));
+    m.put(assoc::kValueFamily, "c", nosql::encode_double(1.0));
+    req.mutations.push_back(std::move(m));
+  }
+  const std::string body = proto::encode(req);
+
+  std::atomic<int> ready{0};
+  proto::WriteBatchResponse responses[2];
+  std::vector<std::thread> senders;
+  for (int t = 0; t < 2; ++t) {
+    senders.emplace_back([&, t] {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      const auto reply =
+          service.handle(rpc::Verb::kWriteBatch, body, std::nullopt);
+      ASSERT_EQ(reply.status, rpc::Status::kOk);
+      responses[t] = proto::decode_write_batch_response(reply.body);
+    });
+  }
+  for (auto& t : senders) t.join();
+
+  EXPECT_EQ(responses[0].applied + responses[1].applied, kBatch);
+  EXPECT_EQ(responses[0].skipped + responses[1].skipped, kBatch);
+  const auto status = proto::decode_status_response(
+      service.handle(rpc::Verb::kStatus, "", std::nullopt).body);
+  EXPECT_EQ(status.writes_applied, kBatch);
+  EXPECT_EQ(status.writes_applied + status.writes_skipped, 2 * kBatch);
+
+  // One application: every row sums kBatch / kRows ones.
+  nosql::Scanner scan(db, "S");
+  const auto cells = scan.read_all();
+  ASSERT_EQ(cells.size(), kRows);
+  for (const auto& cell : cells) {
+    EXPECT_EQ(nosql::decode_double(cell.value),
+              static_cast<double>(kBatch / kRows))
+        << cell.key.row;
+  }
 }
 
 /// A mutation routed to a server that does not own its row is a

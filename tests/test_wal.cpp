@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 
 #include <gtest/gtest.h>
 
@@ -226,7 +227,7 @@ TEST(Wal, TornTailAtEveryByteOffsetDeliversTheIntactPrefix) {
   std::remove(path.c_str());
   // A log exercising every record kind: create, splits, mutations
   // (simple + explicit-fields), clone, create+delete, mutation on the
-  // clone.
+  // clone, sequenced mutation of a writer stream.
   {
     Instance db;
     db.attach_wal(std::make_shared<WriteAheadLog>(path));
@@ -244,6 +245,9 @@ TEST(Wal, TornTailAtEveryByteOffsetDeliversTheIntactPrefix) {
     Mutation c("gamma");
     c.put("f", "q", "v3");
     db.apply("t2", c);                        // 8 kMutation
+    Mutation d("delta");
+    d.put("f", "q", "v4");
+    db.lock_stream("t2", "tm/7/0").apply(d, 0);  // 9 kStreamMutation
     db.sync_wal();
   }
 
@@ -260,7 +264,7 @@ TEST(Wal, TornTailAtEveryByteOffsetDeliversTheIntactPrefix) {
     off += 8 + len;
     record_ends.push_back(off);
   }
-  ASSERT_EQ(record_ends.size(), 8u);
+  ASSERT_EQ(record_ends.size(), 9u);
   ASSERT_EQ(record_ends.back(), full.size());
 
   // Truncate at EVERY byte offset: replay must deliver exactly the
@@ -288,14 +292,24 @@ TEST(Wal, TornTailAtEveryByteOffsetDeliversTheIntactPrefix) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(full.data(), static_cast<std::streamsize>(full.size()));
   }
+  std::vector<WalRecord> records;
+  replay_wal(path, [&](const WalRecord& r) { records.push_back(r); });
+  ASSERT_EQ(records.size(), 9u);
+  EXPECT_EQ(records.back().kind, WalRecord::Kind::kStreamMutation);
+  EXPECT_EQ(records.back().stream, "tm/7/0");
+  EXPECT_EQ(records.back().stream_seq, 0u);
+  EXPECT_EQ(records.back().mutation.row(), "delta");
   Instance recovered;
-  EXPECT_EQ(recover_from_wal(recovered, path), 8u);
+  EXPECT_EQ(recover_from_wal(recovered, path), 9u);
   EXPECT_TRUE(recovered.table_exists("t1"));
   EXPECT_TRUE(recovered.table_exists("t2"));
   EXPECT_FALSE(recovered.table_exists("tmp"));
   EXPECT_EQ(recovered.list_splits("t2"), (std::vector<std::string>{"m"}));
   Scanner scan(recovered, "t2");
-  EXPECT_EQ(scan.read_all().size(), 3u);
+  EXPECT_EQ(scan.read_all().size(), 4u);
+  // The stream's high-water mark replays with its mutation.
+  EXPECT_EQ(recovered.stream_marks("t2"),
+            (std::map<std::string, std::uint64_t>{{"tm/7/0", 1}}));
   std::remove(path.c_str());
 }
 
