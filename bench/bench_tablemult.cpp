@@ -144,9 +144,11 @@ std::string run_worker_sweep(bool smoke) {
   table.print("TableMult worker scaling (4 tablets)");
 
   // Per-partition breakdown of one 4-worker run: where each worker's
-  // time went, and how balanced the tablet-derived partitions are.
-  util::TablePrinter parts({"partition", "rows_joined", "partials", "seeks",
-                            "scan_ms", "emit_ms", "flush_ms", "total_ms"});
+  // time went, how balanced the tablet-derived partitions are, and how
+  // many pre-summed cells each sent for its partial products.
+  util::TablePrinter parts({"partition", "rows_joined", "partials", "cells",
+                            "seeks", "scan_ms", "emit_ms", "flush_ms",
+                            "total_ms"});
   const auto stats =
       core::table_mult(db, "A", "A", "Cparts", {.num_workers = 4});
   for (std::size_t i = 0; i < stats.partitions.size(); ++i) {
@@ -156,6 +158,7 @@ std::string run_worker_sweep(bool smoke) {
     parts.add_row({"[" + lo + ", " + hi + ")",
                    std::to_string(part.rows_joined),
                    std::to_string(part.partial_products),
+                   std::to_string(part.cells_emitted),
                    std::to_string(part.seeks),
                    util::TablePrinter::fmt(part.scan_seconds * 1e3, 1),
                    util::TablePrinter::fmt(part.emit_seconds * 1e3, 1),

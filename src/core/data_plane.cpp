@@ -41,12 +41,10 @@ bool LocalDataPlane::table_exists(const std::string& table) {
 }
 
 void LocalDataPlane::ensure_table(const std::string& table,
-                                  bool sum_combiner) {
-  if (sum_combiner) {
-    create_sum_table(db_, table);
-  } else if (!db_.table_exists(table)) {
-    db_.create_table(table);
-  }
+                                  const std::vector<std::string>& splits) {
+  if (db_.table_exists(table)) return;
+  db_.create_table(table, sum_table_config());
+  if (!splits.empty()) db_.add_splits(table, splits);
 }
 
 std::unique_ptr<TableMultDataPlane::ReadView> LocalDataPlane::open_read_view(

@@ -52,10 +52,12 @@ class TableMultDataPlane {
 
   virtual bool table_exists(const std::string& table) = 0;
 
-  /// Creates `table` if missing. With `sum_combiner` it is configured
-  /// as a TableMult result sink (versioning off, summing combiner at
-  /// every scope); otherwise default config. No-op when it exists.
-  virtual void ensure_table(const std::string& table, bool sum_combiner) = 0;
+  /// Creates `table` as a TableMult result sink (versioning off,
+  /// summing combiner at every scope) if missing, split at `splits` —
+  /// the partition bounds, so concurrent partition writers land on
+  /// separate tablets. No-op when it exists.
+  virtual void ensure_table(const std::string& table,
+                            const std::vector<std::string>& splits) = 0;
 
   /// Opens one consistent cut of `tables`.
   virtual std::unique_ptr<ReadView> open_read_view(
@@ -85,7 +87,8 @@ class LocalDataPlane : public TableMultDataPlane {
   explicit LocalDataPlane(nosql::Instance& db) : db_(db) {}
 
   bool table_exists(const std::string& table) override;
-  void ensure_table(const std::string& table, bool sum_combiner) override;
+  void ensure_table(const std::string& table,
+                    const std::vector<std::string>& splits) override;
   std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables) override;
   std::unique_ptr<nosql::MutationSink> open_writer(

@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <exception>
+#include <numeric>
 #include <future>
 #include <optional>
 #include <random>
+#include <tuple>
 #include <stdexcept>
 #include <thread>
 #include <unordered_map>
@@ -64,6 +66,12 @@ obs::Counter& tm_partial_products() {
       "Partial products emitted by TableMult");
   return c;
 }
+obs::Counter& tm_cells_emitted() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "tablemult.cells_emitted.total",
+      "Pre-summed cells TableMult sent to its result table");
+  return c;
+}
 obs::Counter& tm_partial_products_pruned() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "tablemult.partial_products_pruned.total",
@@ -86,9 +94,10 @@ struct MaskIndex {
   std::unordered_map<std::string, std::unordered_set<std::string>> rows;
   std::size_t cells = 0;
 
-  bool contains(const std::string& row, const std::string& qualifier) const {
-    const auto it = rows.find(row);
-    return it != rows.end() && it->second.count(qualifier) != 0;
+  /// M's stored qualifiers in output row `i`; null when it has none.
+  const std::unordered_set<std::string>* row(const std::string& i) const {
+    const auto it = rows.find(i);
+    return it == rows.end() ? nullptr : &it->second;
   }
 };
 
@@ -110,6 +119,122 @@ MaskIndex load_mask(TableMultDataPlane::ReadView& view,
   return index;
 }
 
+/// Partition-local sparse accumulator (Gustavson's SPA, over interned
+/// ids instead of dense indices): sums one partition's surviving partial
+/// products with ordinary + per output cell (row i, family, column j),
+/// and drains them as mutations sorted by (row, family, qualifier), one
+/// per output row. Rows and columns are interned once per partition, so
+/// a product costs one integer-keyed hash update instead of a mutation
+/// cell, a WAL record share and a combiner fold.
+class PartialSums {
+ public:
+  /// Id of output row slot (row, family).
+  std::uint32_t row_slot(const std::string& row, const std::string& family) {
+    // Length-prefixed family, then row: unambiguous for any bytes.
+    const auto n = static_cast<std::uint32_t>(family.size());
+    key_.assign(reinterpret_cast<const char*>(&n), sizeof n);
+    key_ += family;
+    key_ += row;
+    const auto [it, added] = slot_ids_.try_emplace(
+        key_, static_cast<std::uint32_t>(slots_.size()));
+    if (added) slots_.push_back({row, family});
+    return it->second;
+  }
+
+  /// Id of output column (qualifier) `qualifier`.
+  std::uint32_t column(const std::string& qualifier) {
+    const auto [it, added] = column_ids_.try_emplace(
+        qualifier, static_cast<std::uint32_t>(columns_.size()));
+    if (added) columns_.push_back(qualifier);
+    return it->second;
+  }
+
+  void add(std::uint32_t slot, std::uint32_t column, double value) {
+    sums_[(std::uint64_t{slot} << 32) | column] += value;
+  }
+
+  /// Estimated bytes the sums hold: per cell its key, its value, a
+  /// node link and a bucket slot.
+  std::size_t estimated_bytes() const noexcept {
+    return sums_.size() * (sizeof(std::uint64_t) + sizeof(double) +
+                           2 * sizeof(void*));
+  }
+
+  /// Sends every sum to `writer`, sorted by (row, family, qualifier),
+  /// one mutation per output row, and empties the accumulator (the
+  /// interned ids stay). Returns the number of cells sent.
+  std::size_t drain(nosql::MutationSink& writer) {
+    if (sums_.empty()) return 0;
+    // Rank the interned ids in key order once, then sort the cells by
+    // (slot rank, column rank): integer compares, not string compares.
+    const auto slot_order = sorted_ids(slots_.size(), [&](auto a, auto b) {
+      return std::tie(slots_[a].row, slots_[a].family) <
+             std::tie(slots_[b].row, slots_[b].family);
+    });
+    const auto column_order = sorted_ids(
+        columns_.size(),
+        [&](auto a, auto b) { return columns_[a] < columns_[b]; });
+    std::vector<std::uint64_t> slot_rank(slots_.size());
+    std::vector<std::uint64_t> column_rank(columns_.size());
+    for (std::size_t r = 0; r < slot_order.size(); ++r) {
+      slot_rank[slot_order[r]] = r;
+    }
+    for (std::size_t r = 0; r < column_order.size(); ++r) {
+      column_rank[column_order[r]] = r;
+    }
+    std::vector<std::pair<std::uint64_t, double>> cells;
+    cells.reserve(sums_.size());
+    for (const auto& [key, sum] : sums_) {
+      cells.emplace_back(
+          (slot_rank[key >> 32] << 32) | column_rank[key & 0xffffffffu], sum);
+    }
+    std::sort(cells.begin(), cells.end());  // ranks are unique per cell
+
+    std::optional<nosql::Mutation> m;
+    for (const auto& [rank, sum] : cells) {
+      const Slot& s = slots_[slot_order[rank >> 32]];
+      if (!m || m->row() != s.row) {
+        if (m) writer.add_mutation(std::move(*m));
+        m.emplace(s.row);
+      }
+      m->put(s.family, columns_[column_order[rank & 0xffffffffu]],
+             encode_double(sum));
+    }
+    writer.add_mutation(std::move(*m));
+    sums_.clear();
+    return cells.size();
+  }
+
+ private:
+  struct Slot {
+    std::string row;
+    std::string family;
+  };
+
+  template <class Less>
+  static std::vector<std::uint32_t> sorted_ids(std::size_t n, Less less) {
+    std::vector<std::uint32_t> ids(n);
+    std::iota(ids.begin(), ids.end(), 0u);
+    std::sort(ids.begin(), ids.end(), less);
+    return ids;
+  }
+
+  std::string key_;  // row_slot's lookup buffer
+  std::unordered_map<std::string, std::uint32_t> slot_ids_;
+  std::vector<Slot> slots_;
+  std::unordered_map<std::string, std::uint32_t> column_ids_;
+  std::vector<std::string> columns_;
+  std::unordered_map<std::uint64_t, double> sums_;
+};
+
+/// One decoded cell of a joined row B(k, :): decoded once per row, not
+/// once per product.
+struct JoinedCell {
+  const std::string* qualifier;
+  std::uint32_t column;  // interned id (write mode only)
+  double value;
+};
+
 /// Per-partition fused-reduce accumulator (table_mult_reduce). Each
 /// partition owns one; the join barrier folds them.
 struct ReduceAcc {
@@ -119,19 +244,24 @@ struct ReduceAcc {
 
 /// One attempt at one partition of the row-aligned merge join: scans
 /// [range) of A and B (through the scan-time row/col filters), and for
-/// every shared row emits the mask-surviving partial products — through
-/// a private MutationSink into C, or, in fused-reduce mode (`reduce`
-/// not null), into the partition's local accumulator. Runs on a worker
-/// thread; touches no shared state beyond the (thread-safe) data-plane
-/// scan/write entry points and the read-only MaskIndex.
+/// every shared row k forms the mask-surviving partial products of
+/// A(k, :) and B(k, :), B(k, :) decoded once. Write mode pre-sums them
+/// in a PartialSums and drains it through a private MutationSink into
+/// C — whenever its estimated bytes reach the BatchWriter's buffer
+/// size, and at partition end. Fused-reduce mode (`reduce` not null)
+/// folds them into the partition's local accumulator instead. Runs on a
+/// worker thread; touches no shared state beyond the (thread-safe)
+/// data-plane scan/write entry points and the read-only MaskIndex.
 ///
 /// Exactly-once across attempts (write mode): the mutation stream of a
 /// partition is a deterministic function of the (stable) inputs, mask
-/// and filters included, and `writer` numbers it on the partition's
-/// writer stream. Every attempt emits the stream from its beginning;
-/// the Instance that applies it skips the prefix earlier attempts
-/// applied. On failure the buffered remainder is abandoned. Reduce mode
-/// has no durable state: a retry starts over on a fresh accumulator.
+/// and filters included — the accumulator drains at byte counts the
+/// inputs fix and emits in key order — and `writer` numbers it on the
+/// partition's writer stream. Every attempt emits the stream from its
+/// beginning; the Instance that applies it skips the prefix earlier
+/// attempts applied. On failure the buffered remainder is abandoned.
+/// Reduce mode has no durable state: a retry starts over on a fresh
+/// accumulator.
 TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
                                        const std::string& table_a,
                                        const std::string& table_b,
@@ -169,8 +299,17 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
       return false;
     };
 
+    std::optional<PartialSums> sums;
+    if (!reduce) sums.emplace();
+    const auto drain = [&] {
+      util::Timer t;
+      stats.cells_emitted += sums->drain(*writer);
+      stats.flush_seconds += t.seconds();
+    };
+
     util::Timer phase;
     RowBlock row_a, row_b;
+    std::vector<JoinedCell> joined_b;  // B(k, :), decoded
     bool have_a = read_row(reader_a, row_a);
     bool have_b = read_row(reader_b, row_b);
     stats.scan_seconds += phase.seconds();
@@ -195,25 +334,37 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
         stats.scan_seconds += phase.seconds();
         continue;
       }
-      // Shared row k: emit the outer product of A(k, :) and B(k, :).
+      // Shared row k: the outer product of A(k, :) and B(k, :).
       ++stats.rows_joined;
       phase.reset();
+      joined_b.clear();
+      for (const auto& cb : row_b.cells) {
+        const auto bv = decode_double(cb.value);
+        if (!bv) continue;
+        joined_b.push_back({&cb.key.qualifier,
+                            sums ? sums->column(cb.key.qualifier) : 0u, *bv});
+      }
       for (const auto& ca : row_a.cells) {
         const auto av = decode_double(ca.value);
         if (!av) continue;
+        // Structural mask: a pruned product never reaches the
+        // accumulator (or the reduction).
+        const std::unordered_set<std::string>* mask_row =
+            mask ? mask->row(ca.key.qualifier) : nullptr;
+        const auto pruned = [&](const JoinedCell& cb) {
+          return mask && (mask_row && mask_row->count(*cb.qualifier) != 0) ==
+                             complement;
+        };
         if (reduce) {
           // Fused reduce: fold surviving products straight into the
           // partition-local accumulator; no mutation is ever built.
           double row_sum = 0.0;
-          for (const auto& cb : row_b.cells) {
-            const auto bv = decode_double(cb.value);
-            if (!bv) continue;
-            if (mask && mask->contains(ca.key.qualifier, cb.key.qualifier) ==
-                            complement) {
+          for (const auto& cb : joined_b) {
+            if (pruned(cb)) {
               ++stats.partial_products_pruned;
               continue;
             }
-            row_sum += options.multiply(*av, *bv);
+            row_sum += options.multiply(*av, cb.value);
             ++stats.partial_products;
           }
           reduce->total += row_sum;
@@ -222,26 +373,22 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
           }
           continue;
         }
-        // One mutation per output row C(i, :) chunk for this k.
-        nosql::Mutation m(ca.key.qualifier);  // i = A's column key
-        bool any = false;
-        for (const auto& cb : row_b.cells) {
-          const auto bv = decode_double(cb.value);
-          if (!bv) continue;
-          if (mask && mask->contains(ca.key.qualifier, cb.key.qualifier) ==
-                          complement) {
-            // Structural mask: the product is pruned here, before the
-            // BatchWriter — it never costs a mutation, a WAL record, or
-            // a combiner fold.
+        const std::uint32_t slot =
+            sums->row_slot(ca.key.qualifier, ca.key.family);  // i = A's column
+        for (const auto& cb : joined_b) {
+          if (pruned(cb)) {
             ++stats.partial_products_pruned;
             continue;
           }
-          m.put(ca.key.family, cb.key.qualifier,
-                encode_double(options.multiply(*av, *bv)));
-          any = true;
+          sums->add(slot, cb.column, options.multiply(*av, cb.value));
           ++stats.partial_products;
         }
-        if (any) writer->add_mutation(std::move(m));
+        if (sums->estimated_bytes() >=
+            nosql::BatchWriter::kDefaultBufferBytes) {
+          stats.emit_seconds += phase.seconds();
+          drain();
+          phase.reset();
+        }
       }
       stats.emit_seconds += phase.seconds();
       phase.reset();
@@ -249,9 +396,12 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
       have_b = read_row(reader_b, row_b);
       stats.scan_seconds += phase.seconds();
     }
-    phase.reset();
-    if (writer) writer->close();
-    stats.flush_seconds = phase.seconds();
+    if (writer) {
+      drain();
+      util::Timer close;
+      writer->close();
+      stats.flush_seconds += close.seconds();
+    }
     stats.seeks = reader_a.seeks_performed() + reader_b.seeks_performed();
     stats.seconds = total.seconds();
     return stats;
@@ -303,23 +453,18 @@ TableMultPartitionStats run_partition(
   }
 }
 
-/// Cuts the row space of `table_a` into up to `workers` contiguous
-/// half-open ranges at tablet split points (sampled keys as fallback).
-std::vector<nosql::Range> partition_ranges(TableMultDataPlane& plane,
-                                           const std::string& table_a,
-                                           std::size_t workers) {
+/// The contiguous half-open row ranges between `bounds` (all rows when
+/// there are none).
+std::vector<nosql::Range> ranges_between(
+    const std::vector<std::string>& bounds) {
+  if (bounds.empty()) return {nosql::Range::all()};
   std::vector<nosql::Range> ranges;
-  if (workers > 1) {
-    const auto bounds = plane.partition_rows(table_a, workers);
-    std::string prev;
-    for (const auto& b : bounds) {
-      ranges.push_back(nosql::Range::half_open_row_range(prev, b));
-      prev = b;
-    }
-    ranges.push_back(nosql::Range::half_open_row_range(prev, ""));
-  } else {
-    ranges.push_back(nosql::Range::all());
+  std::string prev;
+  for (const auto& b : bounds) {
+    ranges.push_back(nosql::Range::half_open_row_range(prev, b));
+    prev = b;
   }
+  ranges.push_back(nosql::Range::half_open_row_range(prev, ""));
   return ranges;
 }
 
@@ -339,15 +484,6 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     throw std::invalid_argument("table_mult: mask table '" +
                                 options.mask_table + "' does not exist");
   }
-  // Setup is retry-safe: ensure_table re-checks existence, and
-  // partitioning is a read-only pass over A — both may hit transient
-  // (injected) faults that a second attempt clears.
-  if (!reduce_mode) {
-    util::with_retries("TableMult: result table setup", retry, [&] {
-      plane.ensure_table(table_c, options.configure_result_table);
-    });
-  }
-
   std::size_t workers = options.num_workers != 0
                             ? options.num_workers
                             : std::thread::hardware_concurrency();
@@ -376,10 +512,22 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   }
   const MaskIndex* mask_ptr = mask ? &*mask : nullptr;
 
-  const auto ranges =
-      util::with_retries("TableMult: partitioning", retry, [&] {
-        return partition_ranges(plane, table_a, workers);
-      });
+  // Cut A's row space at its tablet split points (sampled keys as
+  // fallback) before C's setup, so a C created here is pre-split at the
+  // same bounds. Setup is retry-safe: partitioning is a read-only pass
+  // over A and ensure_table re-checks existence — both may hit
+  // transient (injected) faults that a second attempt clears.
+  std::vector<std::string> bounds;
+  if (workers > 1) {
+    bounds = util::with_retries("TableMult: partitioning", retry, [&] {
+      return plane.partition_rows(table_a, workers);
+    });
+  }
+  const auto ranges = ranges_between(bounds);
+  if (!reduce_mode) {
+    util::with_retries("TableMult: result table setup", retry,
+                       [&] { plane.ensure_table(table_c, bounds); });
+  }
 
   // Partition p writes writer stream "tm/<nonce>/<p>": a random nonce
   // per multiply keeps multiplies (and clients) off each other's streams.
@@ -430,6 +578,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     stats.rows_joined += p.rows_joined;
     stats.partial_products += p.partial_products;
     stats.partial_products_pruned += p.partial_products_pruned;
+    stats.cells_emitted += p.cells_emitted;
     stats.seeks += p.seeks;
     if (p.attempts > 1) ++stats.retried_partitions;
     if (p.timed_out) ++stats.timed_out_partitions;
@@ -446,6 +595,7 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   tm_rows_joined().inc(stats.rows_joined);
   tm_partial_products().inc(stats.partial_products);
   tm_partial_products_pruned().inc(stats.partial_products_pruned);
+  tm_cells_emitted().inc(stats.cells_emitted);
   if (stats.timed_out_partitions > 0) {
     GRAPHULO_WARN << "TableMult: " << stats.timed_out_partitions << " of "
                   << stats.partitions.size()

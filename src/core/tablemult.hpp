@@ -10,20 +10,33 @@
 // form is forced by the storage: tables are row-sorted, so the only
 // cheap join is over the shared ROW dimension k — a row-aligned merge
 // join of the two tables' sorted streams (the real Graphulo's
-// TwoTableIterator does exactly this). Partial products are written to
-// C through a BatchWriter; a (+)-combiner attached to C at scan and
-// compaction scope makes the table itself perform the reduction.
+// TwoTableIterator does exactly this). C is a sum table: a (+)-combiner
+// attached at scan and compaction scope makes the table itself perform
+// the final reduction.
 //
 // Execution is a partitioned pipeline: the shared row dimension k is cut
 // into contiguous row ranges at the tablet split points of A (refined by
 // sampled row keys when A is a single tablet), and each partition runs
 // the merge join independently on a worker thread with its own pair of
-// scans and its own BatchWriter. No cross-worker coordination is needed
-// beyond the final flush barrier: distinct k-partitions contribute
-// disjoint partial-product SETS, and the (+)-combiner on C is
-// commutative and associative, so any interleaving of the concurrent
-// writes folds to the same table. (Callers configuring C manually must
-// likewise attach a commutative combiner, or run with num_workers = 1.)
+// scans and its own BatchWriter. When the call creates C it pre-splits
+// C at the same bounds, so the writers' memtable work spreads over
+// separate tablets instead of one tablet mutex.
+//
+// Pre-summed partials: each joined row B(k, :) is decoded once, and each
+// surviving partial product A(k,i) (x) B(k,j) is added with ordinary +
+// into a partition-local sparse accumulator keyed by interned
+// (i, family, j) ids. The accumulator drains as mutations sorted by
+// (row, family, qualifier) — one per output row — whenever its estimated
+// bytes reach the BatchWriter's buffer size, and at partition end. So a
+// partition writes each of its output cells about once instead of once
+// per partial product. No cross-worker coordination is needed beyond
+// the final flush barrier: distinct k-partitions contribute disjoint
+// partial-product SETS, and the (+)-combiner on C is commutative and
+// associative, so any interleaving of the concurrent writes folds to
+// the same table. An existing C must therefore fold with + too: the
+// pre-sum already applied + to each partition's partials, so any other
+// combiner (min for tropical products, say) would see sums instead of
+// the partials it expects.
 //
 // Inputs are read through the data plane's read view, opened before
 // partitioning. On the local plane that view pins one MVCC snapshot per
@@ -35,12 +48,13 @@
 // independently retryable unit. A transient failure — an injected
 // fault, a WAL hiccup the lower-level retries could not absorb —
 // abandons the attempt's buffered writes and re-runs the partition on
-// fresh scans with a fresh writer. Partition p writes its deterministic
-// mutation stream on writer stream "tm/<nonce>/<p>" (one random nonce
-// per multiply), and every attempt resends it from sequence 0: the
-// Instance that applies it skips what earlier attempts applied, so no
-// partial product lands twice and even non-idempotent combiners fold
-// correctly — on both data planes. An optional per-partition deadline
+// fresh scans with a fresh writer. Partition p writes its mutation
+// stream on writer stream "tm/<nonce>/<p>" (one random nonce per
+// multiply). The stream is a deterministic function of the inputs —
+// the accumulator's drain points and its sorted emission included — and
+// every attempt resends it from sequence 0: the Instance that applies
+// it skips what earlier attempts applied, so no pre-summed cell lands
+// twice — on both data planes. An optional per-partition deadline
 // turns a hung partition into a warning + stats flag instead of a
 // stall.
 //
@@ -73,13 +87,11 @@ namespace graphulo::core {
 
 /// Options for table_mult().
 struct TableMultOptions {
-  /// The (x) of the semiring; defaults to ordinary multiplication.
+  /// The (x) of the semiring; defaults to ordinary multiplication. The
+  /// (+) is always ordinary addition: partials are pre-summed with it
+  /// and C folds with a summing combiner.
   std::function<double(double, double)> multiply =
       [](double a, double b) { return a * b; };
-  /// Attach a summing combiner (+ of the plus-times semiring) to C at
-  /// all scopes if C does not exist yet. Set false when the caller
-  /// configured C manually (e.g. a min-combiner for tropical products).
-  bool configure_result_table = true;
   /// Compact C after the multiply so the partial products are physically
   /// collapsed (otherwise they collapse lazily at scan/compaction time).
   bool compact_result = false;
@@ -92,7 +104,7 @@ struct TableMultOptions {
   /// on fresh scans + a fresh writer. Re-runs are exactly-once: the
   /// retry regenerates the partition's deterministic mutation stream
   /// on the same writer stream, and the Instance skips the prefix
-  /// already applied, so no partial product is written twice.
+  /// already applied, so no cell is written twice.
   std::size_t max_partition_retries = 2;
   /// Wall-clock budget per partition attempt; zero = unlimited. A
   /// partition that exceeds it aborts cooperatively and is reported as
@@ -104,7 +116,7 @@ struct TableMultOptions {
   /// Structural mask (GraphBLAS C<M>): when non-empty, names a table M
   /// whose stored (row, qualifier) set gates the output. A partial
   /// product destined for C(i, j) is dropped inside the merge join —
-  /// before it reaches the BatchWriter — unless (i, j) is stored in M
+  /// before it reaches the accumulator — unless (i, j) is stored in M
   /// (values are ignored; presence is the mask). M is read once, up
   /// front, through the same pinned-snapshot discipline as A and B
   /// (aliasing A or B reuses their snapshot), so the mask is a
@@ -136,12 +148,14 @@ struct TableMultPartitionStats {
   std::string start_row;              ///< partition range ["start", "end")
   std::string end_row;                ///< empty = unbounded on that side
   std::size_t rows_joined = 0;        ///< shared row keys in this range
-  std::size_t partial_products = 0;   ///< cells written by this worker
+  std::size_t partial_products = 0;   ///< products computed (mask-surviving)
   std::size_t partial_products_pruned = 0;  ///< dropped by the mask
+  std::size_t cells_emitted = 0;      ///< pre-summed cells sent to C
   std::size_t seeks = 0;              ///< advance_to() seeks on A + B
   double scan_seconds = 0.0;          ///< reading/aligning the two streams
-  double emit_seconds = 0.0;          ///< building + buffering mutations
-  double flush_seconds = 0.0;         ///< final BatchWriter flush
+  double emit_seconds = 0.0;          ///< multiplying + accumulating
+  double flush_seconds = 0.0;         ///< draining the accumulator into
+                                      ///< mutations + the writer's close
   double seconds = 0.0;               ///< wall time of the whole partition
   std::size_t attempts = 1;           ///< 1 = no retries were needed
   bool timed_out = false;             ///< gave up at the deadline
@@ -151,8 +165,9 @@ struct TableMultPartitionStats {
 /// `partitions`, aggregated at join time.
 struct TableMultStats {
   std::size_t rows_joined = 0;        ///< shared row keys of A and B
-  std::size_t partial_products = 0;   ///< cells written to C (or reduced)
+  std::size_t partial_products = 0;   ///< products computed (or reduced)
   std::size_t partial_products_pruned = 0;  ///< dropped by the mask
+  std::size_t cells_emitted = 0;      ///< pre-summed cells sent to C
   std::size_t seeks = 0;              ///< merge-join seeks on A + B
   double seconds = 0.0;               ///< wall time (partitions overlap)
   std::size_t retried_partitions = 0;   ///< partitions needing > 1 attempt
@@ -161,7 +176,8 @@ struct TableMultStats {
 };
 
 /// C += A^T * B, all three named tables of `db`. Creates C when missing
-/// (with a summing combiner per options). Returns run statistics.
+/// (a sum table pre-split at the partition bounds); an existing C must
+/// fold with + (see the file comment). Returns run statistics.
 TableMultStats table_mult(nosql::Instance& db, const std::string& table_a,
                           const std::string& table_b,
                           const std::string& table_c,
@@ -194,9 +210,9 @@ struct TableMultReduceResult {
 /// into a thread-local (+)-accumulator per partition instead of a
 /// BatchWriter, and folds the partition accumulators at the join
 /// barrier. No result table is created, written, or compacted —
-/// `options.configure_result_table` and `options.compact_result` are
-/// ignored. The (+) is ordinary addition, matching the summing combiner
-/// table_mult() attaches to C; `options.multiply` is still the (x).
+/// `options.compact_result` is ignored. The (+) is ordinary addition,
+/// matching the summing combiner table_mult() attaches to C;
+/// `options.multiply` is still the (x).
 /// Retried partitions restart with a fresh accumulator (no durable
 /// state), so the exactly-once machinery is unnecessary here. This is
 /// the kernel shape of masked triangle counting: sum(L .* (L·U)) in one

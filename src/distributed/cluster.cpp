@@ -413,8 +413,9 @@ bool ClusterDataPlane::table_exists(const std::string& table) {
 }
 
 void ClusterDataPlane::ensure_table(const std::string& table,
-                                    bool sum_combiner) {
-  cluster_.ensure_table(table, sum_combiner);
+                                    const std::vector<std::string>& splits) {
+  (void)splits;  // the server boundaries (see the declaration)
+  cluster_.ensure_table(table, /*sum_combiner=*/true);
 }
 
 std::unique_ptr<core::TableMultDataPlane::ReadView>

@@ -135,7 +135,11 @@ class ClusterDataPlane : public core::TableMultDataPlane {
   explicit ClusterDataPlane(Cluster& cluster) : cluster_(cluster) {}
 
   bool table_exists(const std::string& table) override;
-  void ensure_table(const std::string& table, bool sum_combiner) override;
+  /// Creates a sum table on every server. `splits` are already in
+  /// place: every cluster table is cut at the server boundaries, and
+  /// those are exactly the bounds partition_rows returns.
+  void ensure_table(const std::string& table,
+                    const std::vector<std::string>& splits) override;
   std::unique_ptr<ReadView> open_read_view(
       const std::vector<std::string>& tables) override;
   std::unique_ptr<nosql::MutationSink> open_writer(

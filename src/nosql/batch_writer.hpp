@@ -50,15 +50,18 @@ class BatchWriter : public MutationSink {
   /// alias keeps existing BatchWriter::ErrorKind call sites working).
   using ErrorKind = MutationSink::ErrorKind;
 
+  /// The default auto-flush threshold.
+  static constexpr std::size_t kDefaultBufferBytes = 4 << 20;
+
   /// Buffers up to `max_buffer_bytes` of mutations before auto-flushing.
   /// `retry` bounds the per-mutation retry of transient apply failures.
   BatchWriter(Instance& instance, std::string table,
-              std::size_t max_buffer_bytes = 4 << 20,
+              std::size_t max_buffer_bytes = kDefaultBufferBytes,
               util::RetryPolicy retry = {});
 
   /// A sequenced writer on writer stream `stream` (see file comment).
   BatchWriter(Instance& instance, std::string table, std::string stream,
-              std::size_t max_buffer_bytes = 4 << 20,
+              std::size_t max_buffer_bytes = kDefaultBufferBytes,
               util::RetryPolicy retry = {})
       : BatchWriter(instance, std::move(table), max_buffer_bytes, retry) {
     stream_ = std::move(stream);

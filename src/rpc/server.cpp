@@ -199,7 +199,11 @@ void RpcServer::serve_connection(Connection* conn) {
       break;
     }
   }
-  conn->socket.close();
+  // Shut down, never close: stop() may be shutting this socket down
+  // concurrently, and a closed fd number could be reused before it does.
+  // The owner closes the fd once it has joined this thread (reaping or
+  // stop() destroys the Connection).
+  conn->socket.shutdown();
   connections_gauge().add(-1);
   conn->done.store(true, std::memory_order_release);
 }

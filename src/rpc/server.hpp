@@ -8,9 +8,11 @@
 //
 // Threading: one accept thread plus one thread per live connection.
 // stop() shuts down the listener and every connection socket, which
-// wakes the blocked poll()s, then joins all threads. A server set
-// draining() answers every request with kShuttingDown (the daemon uses
-// this while it checkpoints on SIGTERM).
+// wakes the blocked poll()s, then joins all threads. A connection thread
+// only shuts its socket down when it ends; the fd is closed by whoever
+// joins the thread, so no thread closes an fd another may still use.
+// A server set draining() answers every request with kShuttingDown (the
+// daemon uses this while it checkpoints on SIGTERM).
 
 #include <atomic>
 #include <chrono>
