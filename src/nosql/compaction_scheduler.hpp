@@ -1,15 +1,16 @@
 #pragma once
 // Shared background executor for tablet minor/major compactions,
 // analogous to Accumulo's tserver compaction thread pools. Tablets
-// enqueue flush/merge work here instead of running it inline under the
-// tablet lock; the scheduler tracks queued / in-flight / completed
-// counts and offers drain() so checkpointing and shutdown can quiesce
-// every background compaction before touching on-disk state.
+// enqueue their flush and compaction routines here instead of running
+// them on the writer's thread; the scheduler tracks queued / in-flight
+// / completed counts and offers drain() so checkpointing and shutdown
+// can quiesce every background compaction before touching on-disk
+// state.
 //
 // Tasks must be self-contained and non-throwing from the scheduler's
 // point of view: a task that lets an exception escape is logged and
 // counted as completed (the owning tablet contains its own failures —
-// see Tablet's background compaction paths).
+// see Tablet's flush/compaction pipeline).
 
 #include <condition_variable>
 #include <cstdint>

@@ -225,7 +225,7 @@ class Instance {
   /// Attaches a background compaction scheduler: from now on (and for
   /// every existing tablet) threshold flushes and picker-selected
   /// leveled compactions run on the scheduler's thread pool instead of
-  /// inline under the write.
+  /// on the writer's thread.
   /// Pass nullptr to detach and return to inline compaction.
   void attach_compaction_scheduler(std::shared_ptr<CompactionScheduler> s);
 

@@ -43,9 +43,8 @@ struct TableConfig {
   /// Leveled-compaction knobs: L0 trigger, per-level byte budgets, and
   /// the leveled/flat layout switch.
   CompactionConfig compaction;
-  /// Hard ceiling on a tablet's file count when a background
-  /// CompactionScheduler is attached: writers block (back-pressure)
-  /// until a major compaction brings the count back down.
+  /// Hard ceiling on a tablet's file count: writers block
+  /// (back-pressure) until a compaction brings the count back down.
   std::size_t max_tablet_files = 64;
   /// WAL durability knobs (sync mode, group-commit batch limits) for
   /// instances whose WriteAheadLog is built from this config.

@@ -43,20 +43,8 @@ obs::Counter& compact_cells_total() {
 obs::Gauge& frozen_gauge() {
   static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
       "tablet.frozen.memtables",
-      "Frozen (immutable) memtables awaiting background flush");
+      "Frozen (immutable) memtables awaiting flush");
   return g;
-}
-obs::Counter& relief_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "tablet.relief.total",
-      "Inline back-pressure reliefs (flush+compact under the write lock)");
-  return c;
-}
-obs::Counter& relief_failure_total() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "tablet.relief.failures.total",
-      "Inline back-pressure reliefs that failed after bounded retries");
-  return c;
 }
 obs::Gauge& snapshot_live_gauge() {
   static obs::Gauge& g = obs::MetricsRegistry::global().gauge(
@@ -85,14 +73,9 @@ obs::Counter& gc_held_total() {
 /// to ride out a slow flush, small enough to bound memory.
 constexpr std::size_t kMaxFrozenMemtables = 4;
 
-/// Bound on the inline picker loop per trigger; budgets grow
+/// Bound on the picks one inline trigger runs; budgets grow
 /// geometrically so real cascades settle in a couple of steps.
 constexpr int kMaxInlineCompactions = 16;
-
-/// Runs `stack` to completion over everything and collects the cells.
-std::vector<Cell> drain_all(SortedKVIterator& stack) {
-  return drain(stack, Range::all());
-}
 
 std::uint64_t max_input_seq(const std::vector<FileMeta>& inputs) {
   std::uint64_t seq = 0;
@@ -117,8 +100,56 @@ std::vector<Cell> merge_compaction_inputs(
                                                  max_versions);
   }
   stack = apply_scope_iterators(std::move(stack), settings, kMajcScope);
-  return drain_all(*stack);
+  return drain(*stack, Range::all());
 }
+
+/// Runs flush/compaction routines for a trigger that must not fail its
+/// caller and contains any failure: warns and returns false.
+/// Threshold-triggered work is opportunistic — the write that got us
+/// here already landed — and every fault site fires before any state
+/// change, so a failed routine leaves its frozen memtable queued (in
+/// memory and in the WAL) or its inputs live, and a later trigger or an
+/// explicit flush()/major_compact() retries it.
+template <typename Body>
+bool contain_failure(const TabletExtent& extent, const char* what,
+                     Body&& body) {
+  try {
+    body();
+    return true;
+  } catch (const std::exception& e) {
+    GRAPHULO_WARN << "Tablet[" << extent.start_row << "," << extent.end_row
+                  << "): " << what << " failed, will retry later: "
+                  << e.what();
+    return false;
+  }
+}
+
+/// Releases a held tablet lock for the scope and re-takes it on exit,
+/// exceptions included: builds and merges run outside the mutex.
+struct ScopedUnlock {
+  explicit ScopedUnlock(std::unique_lock<std::mutex>& l) : lock(l) {
+    lock.unlock();
+  }
+  ~ScopedUnlock() { lock.lock(); }
+  ScopedUnlock(const ScopedUnlock&) = delete;
+  std::unique_lock<std::mutex>& lock;
+};
+
+/// Marks the tablet's flush (or compaction) routine as running for the
+/// scope, under the tablet lock. Clearing the mark wakes back-pressured
+/// writers and flush()/major_compact() callers waiting their turn.
+struct InFlight {
+  InFlight(bool& f, std::condition_variable& c) : flag(f), cv(c) {
+    flag = true;
+  }
+  ~InFlight() {
+    flag = false;
+    cv.notify_all();
+  }
+  InFlight(const InFlight&) = delete;
+  bool& flag;
+  std::condition_variable& cv;
+};
 
 }  // namespace
 
@@ -140,78 +171,62 @@ void Tablet::apply(const Mutation& mutation, Timestamp assigned_ts) {
   }
   wait_for_capacity_locked(lock);
   memtable_.apply(mutation, assigned_ts);
-  maybe_compact_locked();
+  maybe_compact_locked(lock);
 }
 
 void Tablet::insert_cell(Cell cell) {
   std::unique_lock lock(mutex_);
   wait_for_capacity_locked(lock);
   memtable_.insert(std::move(cell.key), std::move(cell.value));
-  maybe_compact_locked();
+  maybe_compact_locked(lock);
 }
 
-void Tablet::maybe_compact_locked() {
+void Tablet::maybe_compact_locked(std::unique_lock<std::mutex>& lock) {
   if (memtable_.entry_count() < config_->flush_entries) return;
+  // O(1) swap: the writer (and every writer after it) continues into a
+  // fresh memtable while the frozen one is built into an L0 file.
+  freeze_active_locked();
   if (scheduler_) {
-    // Background mode: O(1) freeze + enqueue; the writer returns
-    // immediately and the flush runs on the scheduler's pool.
-    freeze_active_locked();
-    maybe_enqueue_major_locked();
-    return;
-  }
-  // Threshold-triggered compactions are opportunistic: a transient
-  // failure (injected or real) leaves the memtable intact — the write
-  // that got us here already succeeded — and the next write past the
-  // threshold retries the flush. Mirrors a tablet server whose minor
-  // compaction failed: data stays in memory + WAL, nothing is lost.
-  try {
-    flush_locked();
-    // Settle the levels: an L0->L1 compaction can push L1 over budget,
-    // which pushes a slice into L2, and so on down the tree.
-    for (int round = 0; round < kMaxInlineCompactions; ++round) {
-      const auto pick = pick_locked();
-      if (!pick) break;
-      run_compaction_locked(*pick);
-    }
-  } catch (const util::TransientError& e) {
-    GRAPHULO_WARN << "Tablet[" << extent_.start_row << "," << extent_.end_row
-                  << "): deferred flush/compaction failed transiently, will "
-                  << "retry on a later write: " << e.what();
+    enqueue_locked();
+  } else {
+    run_inline_locked(lock);
   }
 }
 
 void Tablet::wait_for_capacity_locked(std::unique_lock<std::mutex>& lock) {
-  if (!scheduler_) return;
   while (versions_.current()->file_count() >= config_->max_tablet_files ||
          frozen_.size() >= kMaxFrozenMemtables) {
-    if (!minor_inflight_ && !frozen_.empty()) enqueue_minor_locked();
-    maybe_enqueue_major_locked();
+    enqueue_locked();
     if (minor_inflight_ || major_inflight_) {
       state_cv_.wait_for(lock, std::chrono::microseconds(200));
       continue;
     }
-    // Nothing is in flight and nothing could be queued (scheduler
-    // shutting down, or the picker found no work): relieve the
-    // pressure inline rather than spinning. Transient failures
-    // (injected or real) get bounded-backoff retries — giving up on
-    // the first fault would let the writer proceed with the ceiling
-    // still breached and the pressure unrelieved.
+    // Nothing is running and nothing could be queued (no scheduler, or
+    // it is shutting down): relieve the pressure on this thread, once.
     ++relief_runs_;
-    relief_total().inc();
-    try {
-      util::with_retries("Tablet: back-pressure relief", util::RetryPolicy{},
-                         [&] {
-                           flush_locked();
-                           major_compact_locked();
-                         });
-    } catch (const util::TransientError& e) {
-      ++relief_failures_;
-      relief_failure_total().inc();
-      GRAPHULO_WARN << "Tablet: inline back-pressure relief failed after "
-                    << "retries: " << e.what();
-    }
+    if (!run_inline_locked(lock)) ++relief_failures_;
     break;
   }
+}
+
+bool Tablet::run_inline_locked(std::unique_lock<std::mutex>& lock) {
+  // A routine another writer is already running is skipped, not
+  // waited for: this writer's frozen memtable is drained by the next
+  // trigger, and the frozen-memtable ceiling bounds how many pile up.
+  return contain_failure(extent_, "flush/compaction", [&] {
+    if (!minor_inflight_ && !frozen_.empty()) {
+      InFlight claim(minor_inflight_, state_cv_);
+      flush_frozen_locked(lock, frozen_.front().seq);
+    }
+    if (major_inflight_) return;
+    InFlight claim(major_inflight_, state_cv_);
+    // Settle the levels: an L0->L1 compaction can push L1 over budget,
+    // which pushes a slice into L2, and so on down the tree.
+    for (int round = 0; round < kMaxInlineCompactions; ++round) {
+      const auto pick = pick_locked();
+      if (!pick || !run_pick_locked(lock, *pick)) break;
+    }
+  });
 }
 
 std::vector<Cell> Tablet::build_minor_cells(
@@ -223,38 +238,33 @@ std::vector<Cell> Tablet::build_minor_cells(
   TRACE_SPAN("tablet.flush");
   IterPtr stack = std::make_unique<VectorIterator>(snapshot);
   stack = apply_scope_iterators(std::move(stack), settings, kMincScope);
-  return drain_all(*stack);
+  return drain(*stack, Range::all());
 }
 
 void Tablet::freeze_active_locked() {
-  if (memtable_.empty()) return;  // never enqueue a no-op flush
+  if (memtable_.empty()) return;  // never queue a no-op flush
   frozen_.insert(frozen_.begin(),
                  FrozenMemtable{next_data_seq_++, memtable_.snapshot()});
   frozen_gauge().add(1);
   memtable_.clear();
-  enqueue_minor_locked();
 }
 
-void Tablet::enqueue_minor_locked() {
-  if (!scheduler_ || minor_inflight_) return;
-  minor_inflight_ = true;
-  auto self = shared_from_this();
-  if (scheduler_->enqueue([self] { self->run_background_minor(); })) {
-    ++bg_queued_;
-  } else {
-    minor_inflight_ = false;  // scheduler stopping; flush() rescues later
+void Tablet::enqueue_locked() {
+  if (!scheduler_) return;
+  const auto submit = [&](bool& in_flight, void (Tablet::*routine)()) {
+    in_flight = true;
+    auto self = shared_from_this();
+    if (scheduler_->enqueue([self, routine] { (self.get()->*routine)(); })) {
+      ++bg_queued_;
+    } else {
+      in_flight = false;  // scheduler stopping; a blocked writer relieves
+    }
+  };
+  if (!minor_inflight_ && !frozen_.empty()) {
+    submit(minor_inflight_, &Tablet::run_background_minor);
   }
-}
-
-void Tablet::maybe_enqueue_major_locked() {
-  if (!scheduler_ || major_inflight_) return;
-  if (!pick_locked()) return;
-  major_inflight_ = true;
-  auto self = shared_from_this();
-  if (scheduler_->enqueue([self] { self->run_background_major(); })) {
-    ++bg_queued_;
-  } else {
-    major_inflight_ = false;
+  if (!major_inflight_ && pick_locked()) {
+    submit(major_inflight_, &Tablet::run_background_major);
   }
 }
 
@@ -267,149 +277,92 @@ std::optional<CompactionPick> Tablet::pick_locked() const {
 
 void Tablet::run_background_minor() {
   std::unique_lock lock(mutex_);
-  while (!frozen_.empty()) {
-    const FrozenMemtable target = frozen_.back();  // oldest first
-    const auto settings = config_->iterators;      // copied under the lock
-    const RFileOptions rfile_opts = config_->rfile;
-    lock.unlock();
-    std::shared_ptr<RFile> file;
-    bool ok = true;
-    try {
-      auto cells = build_minor_cells(target.cells, settings);
-      if (!cells.empty()) {
-        file = RFile::from_sorted(std::move(cells), rfile_opts);
-      }
-    } catch (const std::exception& e) {
-      // Contained exactly like an inline threshold flush: the frozen
-      // memtable stays queued in memory (and in the WAL) and a later
-      // trigger or an explicit flush() retries it.
-      GRAPHULO_WARN << "Tablet[" << extent_.start_row << ","
-                    << extent_.end_row
-                    << "): background flush failed, keeping memtable "
-                    << "frozen for retry: " << e.what();
-      ok = false;
-    }
-    lock.lock();
-    if (!ok) break;
-    try {
-      install_minor_locked(target.seq, file);
-    } catch (const util::TransientError& e) {
-      // The version install faulted: the frozen memtable is untouched
-      // (install fires before any state change) and a later trigger or
-      // explicit flush() retries it.
-      GRAPHULO_WARN << "Tablet: background flush install failed "
-                    << "transiently, keeping memtable frozen: " << e.what();
-      break;
-    }
-    maybe_enqueue_major_locked();
-  }
+  const bool ok = contain_failure(extent_, "background flush", [&] {
+    flush_frozen_locked(lock, std::numeric_limits<std::uint64_t>::max());
+  });
   minor_inflight_ = false;
   ++bg_completed_;
+  // A failed memtable stays frozen for the next trigger or flush();
+  // re-queueing it here would spin on a persistent fault.
+  if (ok) enqueue_locked();
   state_cv_.notify_all();
 }
 
 void Tablet::run_background_major() {
   std::unique_lock lock(mutex_);
-  const auto pick = pick_locked();
-  if (!pick) {
-    major_inflight_ = false;
-    ++bg_completed_;
-    state_cv_.notify_all();
-    return;
+  bool installed = false;
+  contain_failure(extent_, "background compaction", [&] {
+    if (const auto pick = pick_locked()) {
+      installed = run_pick_locked(lock, *pick);
+    }
+  });
+  major_inflight_ = false;
+  ++bg_completed_;
+  // Cascade: this install may have pushed the next level over budget.
+  if (installed) enqueue_locked();
+  state_cv_.notify_all();
+}
+
+void Tablet::flush_frozen_locked(std::unique_lock<std::mutex>& lock,
+                                 std::uint64_t through_seq) {
+  while (!frozen_.empty() && frozen_.back().seq <= through_seq) {
+    const FrozenMemtable target = frozen_.back();  // oldest first
+    const auto settings = config_->iterators;      // copied under the lock
+    const RFileOptions rfile_opts = config_->rfile;
+    std::shared_ptr<RFile> file;
+    {
+      ScopedUnlock unlocked(lock);
+      auto cells = build_minor_cells(target.cells, settings);
+      if (!cells.empty()) {
+        file = RFile::from_sorted(std::move(cells), rfile_opts);
+      }
+    }
+    install_minor_locked(target.seq, file);
   }
+}
+
+bool Tablet::run_pick_locked(std::unique_lock<std::mutex>& lock,
+                             const CompactionPick& pick) {
   // Delete markers drop only when the output is bottommost for its key
   // range AND nothing newer is buffered (a frozen memtable may hold a
   // write the markers must still suppress at scan time) AND no live
   // snapshot can still observe the inputs — the MVCC horizon. Version
   // collapse is held back by the horizon too: a snapshot's cut may
   // include versions the current state would otherwise discard.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(pick->inputs));
-  const bool drop = pick->bottommost && frozen_.empty() && allow_gc;
-  const auto settings = config_->iterators;  // copied under the lock
+  const std::uint64_t seq = max_input_seq(pick.inputs);
+  const bool allow_gc = horizon_allows_gc_locked(seq);
+  const bool drop = pick.bottommost && frozen_.empty() && allow_gc;
   const bool versioning = config_->versioning && allow_gc;
   const int max_versions = config_->max_versions;
+  const auto settings = config_->iterators;  // copied under the lock
   const RFileOptions rfile_opts = config_->rfile;
-  lock.unlock();
-
   std::shared_ptr<RFile> output;
   std::size_t out_cells = 0;
-  bool ok = true;
-  try {
+  {
+    ScopedUnlock unlocked(lock);
     TRACE_SPAN("tablet.compact");
+    // Before any state change, like the flush site.
     util::fault::point(util::fault::sites::kTabletCompact);
-    auto cells = merge_compaction_inputs(pick->inputs, drop, versioning,
+    auto cells = merge_compaction_inputs(pick.inputs, drop, versioning,
                                          max_versions, settings);
     out_cells = cells.size();
     if (!cells.empty()) {
       output = RFile::from_sorted(std::move(cells), rfile_opts);
     }
-  } catch (const std::exception& e) {
-    GRAPHULO_WARN << "Tablet[" << extent_.start_row << "," << extent_.end_row
-                  << "): background compaction failed, keeping "
-                  << "inputs: " << e.what();
-    ok = false;
   }
-
-  lock.lock();
-  bool installed = false;
-  if (ok) {
-    VersionEdit edit;
-    for (const FileMeta& m : pick->inputs) edit.removed.push_back(m.file_id);
-    if (output) {
-      edit.added.push_back(FileMeta::describe(
-          output, static_cast<int>(pick->output_level),
-          max_input_seq(pick->inputs)));
-    }
-    try {
-      // apply_edit rejects the edit when an input vanished (an explicit
-      // major_compact() raced us and already merged it): discard ours.
-      installed = apply_edit_locked(edit);
-      if (installed) {
-        ++major_compactions_;
-        major_total().inc();
-        compact_cells_total().inc(out_cells);
-      } else {
-        GRAPHULO_DEBUG << "Tablet: discarding background compaction result "
-                       << "(inputs changed during merge)";
-      }
-    } catch (const util::TransientError& e) {
-      GRAPHULO_WARN << "Tablet: background compaction install failed "
-                    << "transiently, keeping inputs: " << e.what();
-    }
-  }
-  major_inflight_ = false;
-  ++bg_completed_;
-  // Cascade: this install may have pushed the next level over budget.
-  if (installed) maybe_enqueue_major_locked();
-  state_cv_.notify_all();
-}
-
-void Tablet::run_compaction_locked(const CompactionPick& pick) {
-  TRACE_SPAN("tablet.compact");
-  // Before any state change, like the flush site above.
-  util::fault::point(util::fault::sites::kTabletCompact);
-  // Same GC gate as the background path: bottommost + nothing frozen +
-  // no live snapshot observing the inputs.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(pick.inputs));
-  const bool drop = pick.bottommost && frozen_.empty() && allow_gc;
-  auto cells = merge_compaction_inputs(pick.inputs, drop,
-                                       config_->versioning && allow_gc,
-                                       config_->max_versions,
-                                       config_->iterators);
-  const std::size_t out_cells = cells.size();
   VersionEdit edit;
   for (const FileMeta& m : pick.inputs) edit.removed.push_back(m.file_id);
-  if (!cells.empty()) {
+  if (output) {
     edit.added.push_back(FileMeta::describe(
-        RFile::from_sorted(std::move(cells), config_->rfile),
-        static_cast<int>(pick.output_level), max_input_seq(pick.inputs)));
+        output, static_cast<int>(pick.output_level), seq));
   }
-  if (apply_edit_locked(edit)) {
-    ++major_compactions_;
-    major_total().inc();
-    compact_cells_total().inc(out_cells);
-    state_cv_.notify_all();
-  }
+  // Rejected only when an input vanished while merging: discard.
+  if (!apply_edit_locked(edit)) return false;
+  ++major_compactions_;
+  major_total().inc();
+  compact_cells_total().inc(out_cells);
+  state_cv_.notify_all();
+  return true;
 }
 
 bool Tablet::apply_edit_locked(const VersionEdit& edit) {
@@ -443,95 +396,38 @@ void Tablet::install_minor_locked(std::uint64_t seq,
 
 void Tablet::flush() {
   std::unique_lock lock(mutex_);
-  // Let an in-flight background flush finish rather than duplicating
-  // its work, then drain whatever is left inline.
-  if (scheduler_) state_cv_.wait(lock, [&] { return !minor_inflight_; });
-  flush_locked();
-}
-
-void Tablet::flush_locked() {
-  // Rescue path: frozen memtables whose background flush failed (or
-  // was never queued) drain here, oldest first, preserving seq order.
-  while (!frozen_.empty()) {
-    const FrozenMemtable target = frozen_.back();
-    auto cells = build_minor_cells(target.cells, config_->iterators);
-    std::shared_ptr<RFile> file;
-    if (!cells.empty()) {
-      file = RFile::from_sorted(std::move(cells), config_->rfile);
-    }
-    install_minor_locked(target.seq, file);
-  }
-  if (memtable_.empty()) return;
-  const std::uint64_t seq = next_data_seq_;
-  auto cells = build_minor_cells(memtable_.snapshot(), config_->iterators);
-  if (!cells.empty()) {
-    auto file = RFile::from_sorted(std::move(cells), config_->rfile);
-    VersionEdit edit;
-    edit.added.push_back(FileMeta::describe(file, /*level=*/0, seq));
-    // May fault: nothing is committed until the install lands.
-    apply_edit_locked(edit);
-    flush_cells_total().inc(file->entry_count());
-  }
-  // Past every fault site: commit the sequence number and clear.
-  ++next_data_seq_;
-  memtable_.clear();
-  ++minor_compactions_;
-  flush_total().inc();
-  state_cv_.notify_all();
+  freeze_active_locked();
+  if (frozen_.empty()) return;
+  const std::uint64_t through_seq = frozen_.front().seq;
+  // One flush routine per tablet at a time: let a running one (a
+  // background task or another writer) finish, then drain what is left.
+  state_cv_.wait(lock, [&] { return !minor_inflight_; });
+  InFlight claim(minor_inflight_, state_cv_);
+  flush_frozen_locked(lock, through_seq);
 }
 
 void Tablet::major_compact() {
+  flush();
   std::unique_lock lock(mutex_);
-  if (scheduler_) {
-    state_cv_.wait(lock,
-                   [&] { return !minor_inflight_ && !major_inflight_; });
-  }
-  flush_locked();
-  major_compact_locked();
-}
-
-void Tablet::major_compact_locked() {
+  state_cv_.wait(lock, [&] { return !major_inflight_; });
   // A single file is still rewritten: one-shot majc-scope iterators
   // (table_apply / table_filter) and delete resolution depend on every
   // cell passing through the compaction stack.
   const auto v = versions_.current();
   if (v->empty()) return;
-  TRACE_SPAN("tablet.compact");
-  // Before any state change, like the flush site above.
-  util::fault::point(util::fault::sites::kTabletCompact);
-  const auto inputs = v->all_files();
-  // Full major compaction: every file participates, so deletes resolve
-  // and drop, versions collapse, then majc-scope iterators run —
-  // unless a live snapshot still observes the inputs, in which case
-  // markers and versions ride along to the output and a later
-  // compaction (after the snapshot closes) retires them.
-  const bool allow_gc = horizon_allows_gc_locked(max_input_seq(inputs));
-  auto cells = merge_compaction_inputs(inputs, /*drop=*/allow_gc,
-                                       config_->versioning && allow_gc,
-                                       config_->max_versions,
-                                       config_->iterators);
-  const std::size_t out_cells = cells.size();
+  CompactionPick pick;
+  pick.inputs = v->all_files();
+  pick.bottommost = true;
   // The single output is bottommost by construction; park it at the
   // deepest occupied level (L1 minimum when leveled) so L0 stays clear
   // for fresh flushes.
-  std::size_t out_level = 0;
   if (config_->compaction.leveled && config_->compaction.max_levels > 1) {
-    out_level = std::max<std::size_t>(
-        1, v->levels.empty() ? 1 : v->levels.size() - 1);
-    out_level = std::min(out_level, config_->compaction.max_levels - 1);
+    pick.output_level =
+        std::min(std::max<std::size_t>(1, v->levels.size() - 1),
+                 config_->compaction.max_levels - 1);
   }
-  VersionEdit edit;
-  for (const FileMeta& m : inputs) edit.removed.push_back(m.file_id);
-  if (!cells.empty()) {
-    edit.added.push_back(FileMeta::describe(
-        RFile::from_sorted(std::move(cells), config_->rfile),
-        static_cast<int>(out_level), max_input_seq(inputs)));
-  }
-  apply_edit_locked(edit);
-  ++major_compactions_;
-  major_total().inc();
-  compact_cells_total().inc(out_cells);
-  state_cv_.notify_all();
+  InFlight claim(major_inflight_, state_cv_);
+  run_pick_locked(lock, pick);
 }
 
 PinnedSources Tablet::pinned_sources_locked() const {
@@ -648,7 +544,7 @@ std::vector<Cell> Tablet::unflushed_cells() const {
     children.push_back(std::make_unique<VectorIterator>(f.cells));
   }
   MergeIterator merged(std::move(children));
-  return drain_all(merged);
+  return drain(merged, Range::all());
 }
 
 void Tablet::restore_files(std::vector<FileMeta> files) {

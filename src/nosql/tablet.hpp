@@ -21,20 +21,30 @@
 // layout (everything in L0, full-merge majors at compaction_fanin) as
 // a baseline.
 //
-// Two compaction execution modes:
+// One flush and compaction pipeline, two executors. A threshold
+// crossing freezes the active memtable (O(1) swap) and writers continue
+// into a fresh one. One routine turns frozen memtables into L0 files,
+// oldest first; one routine executes a picked compaction (GC decision
+// at pick time, merge, then install or discard). Both build with the
+// tablet mutex released and install under it, and at most one of each
+// runs per tablet at a time. Only who runs them differs:
 //
-//  - Inline (no CompactionScheduler attached, the default): threshold
-//    flushes run synchronously inside apply(), then the picker loop
-//    settles every over-budget level before the writer returns.
+//  - Inline (no CompactionScheduler attached, the default): the writer
+//    that crossed the threshold runs them on its own thread before
+//    apply() returns — the frozen memtables that existed when it
+//    started, then the picker loop — while other writers keep
+//    applying.
 //
-//  - Background (CompactionScheduler attached): a threshold crossing
-//    freezes the active memtable (O(1) swap) and enqueues the flush on
-//    the scheduler; writers continue into a fresh memtable. One picked
-//    compaction runs off-thread at a time; a completed install
-//    re-checks the picker so cascades (L0->L1 overflowing L1) drain.
-//    Back-pressure: writers block when the file count reaches
-//    TableConfig::max_tablet_files or too many frozen memtables pile
-//    up, until background compactions catch up.
+//  - Background (CompactionScheduler attached): the routines are
+//    enqueued; a completed install re-checks the picker so cascades
+//    (L0->L1 overflowing L1) drain.
+//
+// Back-pressure: writers block when the file count reaches
+// TableConfig::max_tablet_files or too many frozen memtables pile up,
+// until the running routines catch up; with nothing running, the
+// blocked writer runs them itself. flush() is freeze + the flush
+// routine; major_compact() is a full-merge pick through the
+// compaction routine.
 //
 // Ordering: minor flushes install in data-seq order (oldest frozen
 // first), so every live file is older than every pending frozen
@@ -96,8 +106,8 @@ struct TabletStats {
   std::vector<std::uint64_t> level_bytes;
   std::size_t minor_compactions = 0;
   std::size_t major_compactions = 0;
-  /// Background-compaction accounting (0 unless a scheduler is
-  /// attached).
+  /// Scheduler task accounting (0 unless a scheduler is attached), and
+  /// flush/compaction routines queued or running on either executor.
   std::size_t compactions_queued = 0;
   std::size_t compactions_completed = 0;
   std::size_t compactions_in_flight = 0;
@@ -117,9 +127,9 @@ struct TabletStats {
   std::size_t live_snapshots = 0;
   std::uint64_t oldest_snapshot_seq = 0;
   std::size_t snapshots_expired = 0;
-  /// Inline back-pressure reliefs (flush+compact under the write lock
-  /// because nothing could be queued) and reliefs that failed even
-  /// after bounded retries.
+  /// Back-pressure reliefs (a blocked writer ran the routines itself
+  /// because nothing was running or could be queued) and reliefs whose
+  /// flush or compaction failed.
   std::size_t relief_runs = 0;
   std::size_t relief_failures = 0;
 };
@@ -157,32 +167,33 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   void set_compaction_scheduler(CompactionScheduler* s);
 
   /// Applies a mutation whose row must be inside this extent.
-  /// Triggers a minor compaction (flush) when the memtable exceeds the
-  /// configured threshold, then whatever compactions the level picker
-  /// is due — inline without a scheduler, enqueued in the background
-  /// with one. A TRANSIENT failure of those threshold-triggered
-  /// compactions is contained (warned, data kept in memory, retried by
-  /// a later write); the mutation itself has already landed and
-  /// apply() still succeeds. May block on back-pressure in background
-  /// mode.
+  /// Freezes the memtable when it reaches the configured threshold,
+  /// then flushes it and runs whatever compactions the level picker is
+  /// due — on this thread without a scheduler, enqueued with one. A
+  /// failure of that threshold-triggered work is contained (warned,
+  /// data kept frozen in memory, retried by a later trigger); the
+  /// mutation itself has already landed and apply() still succeeds.
+  /// May block on back-pressure.
   void apply(const Mutation& mutation, Timestamp assigned_ts);
 
   /// Inserts one pre-formed cell (compaction/move path).
   void insert_cell(Cell cell);
 
-  /// Flushes the memtable (and any frozen memtables) into immutable
-  /// L0 files through the minc-scope iterator stack, synchronously: on
-  /// return nothing is buffered in memory. Waits for an in-flight
-  /// background flush rather than duplicating it. No-op when nothing
-  /// is buffered; a flush whose minc stack drops every cell installs
-  /// no file.
+  /// Freezes the memtable and flushes every frozen memtable into
+  /// immutable L0 files through the minc-scope iterator stack,
+  /// synchronously: on return nothing buffered before the call is left
+  /// in memory. Waits for a running flush routine rather than
+  /// duplicating it. No-op when nothing is buffered; a flush whose minc
+  /// stack drops every cell installs no file.
   void flush();
 
   /// Merges ALL files (flushing the memtable first) through the
-  /// majc-scope iterator stack into a single file, synchronously.
+  /// majc-scope iterator stack into a single file, synchronously — a
+  /// full-merge pick through the compaction routine.
   /// Delete markers are dropped (full-major compaction semantics)
-  /// unless a live snapshot still observes them — then they ride along
-  /// and a post-release compaction retires them. The output lands at
+  /// unless a live snapshot still observes them or a concurrent writer
+  /// froze a memtable meanwhile — then they ride along and a later
+  /// compaction retires them. The output lands at
   /// the deepest level (L1 minimum when leveled). An empty merge
   /// result installs no file.
   void major_compact();
@@ -265,24 +276,39 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// `consulted` (nullable) counts files actually opened.
   IterPtr merged_sources_locked(
       std::shared_ptr<std::atomic<std::uint64_t>> consulted) const;
-  /// Threshold flush/compact: inline (failure-contained) without a
-  /// scheduler, freeze + enqueue with one.
-  void maybe_compact_locked();
-  void flush_locked();
-  void major_compact_locked();
+  /// At the flush threshold: freezes the active memtable, then queues
+  /// the routines on the scheduler or runs them inline.
+  void maybe_compact_locked(std::unique_lock<std::mutex>& lock);
   /// Runs the minc-scope stack over one frozen snapshot; fires the
-  /// flush fault site. `settings` is passed in (copied under the lock
-  /// by background callers) so no config read races a concurrent
-  /// attach_iterator.
+  /// flush fault site. `settings` is passed in (copied under the lock)
+  /// so no config read races a concurrent attach_iterator.
   std::vector<Cell> build_minor_cells(
       const std::shared_ptr<const std::vector<Cell>>& snapshot,
       const std::vector<IteratorSetting>& settings) const;
-  /// Moves the active memtable into frozen_ (no-op when empty) and
-  /// makes sure a background flush is queued. Requires scheduler_.
+  /// Moves the active memtable into frozen_ (no-op when empty).
   void freeze_active_locked();
-  void enqueue_minor_locked();
-  /// Enqueues a background compaction when the picker has work.
-  void maybe_enqueue_major_locked();
+  /// Queues the flush routine when frozen memtables wait and the
+  /// compaction routine when the picker has work, unless one is
+  /// already in flight (no-op without a scheduler).
+  void enqueue_locked();
+  /// The one flush routine: turns frozen memtables with seq <=
+  /// through_seq into L0 files, oldest first — each built with the
+  /// mutex released, installed under it. The caller owns
+  /// minor_inflight_. Throws on failure, leaving the failed memtable
+  /// frozen.
+  void flush_frozen_locked(std::unique_lock<std::mutex>& lock,
+                           std::uint64_t through_seq);
+  /// The one compaction routine: executes `pick` — GC decision under
+  /// the mutex, merge with it released, then install (true) or discard
+  /// (false, an input vanished). The caller owns major_inflight_.
+  /// Throws on failure, leaving the inputs live.
+  bool run_pick_locked(std::unique_lock<std::mutex>& lock,
+                       const CompactionPick& pick);
+  /// The inline executor: on the calling writer's thread, flushes the
+  /// frozen memtables that exist now, then runs up to
+  /// kMaxInlineCompactions picks; a routine already running elsewhere
+  /// is skipped. Failures are contained (false).
+  bool run_inline_locked(std::unique_lock<std::mutex>& lock);
   /// Removes frozen entry `seq` and installs `file` (nullptr = the
   /// minc stack dropped everything) as an L0 file.
   void install_minor_locked(std::uint64_t seq,
@@ -294,11 +320,9 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   /// Asks the picker for the next due compaction on the current
   /// version (considers leveled/flat mode and back-pressure).
   std::optional<CompactionPick> pick_locked() const;
-  /// Executes one picked compaction synchronously under the lock
-  /// (inline mode and back-pressure relief).
-  void run_compaction_locked(const CompactionPick& pick);
   /// Blocks the writer while files/frozen memtables exceed their
-  /// ceilings (background mode only), keeping compactions queued.
+  /// ceilings until the running routines catch up; with nothing
+  /// running or queueable, the writer runs them itself once.
   void wait_for_capacity_locked(std::unique_lock<std::mutex>& lock);
   void run_background_minor();
   void run_background_major();
@@ -319,12 +343,14 @@ class Tablet : public std::enable_shared_from_this<Tablet> {
   CompactionScheduler* scheduler_ = nullptr;  ///< non-owning
   mutable std::mutex mutex_;
   /// Signalled on every install/completion: back-pressure waits,
-  /// flush()'s drain wait.
+  /// flush()/major_compact() waiting for a running routine.
   mutable std::condition_variable state_cv_;
   Memtable memtable_;
   std::vector<FrozenMemtable> frozen_;  ///< sorted by seq, newest first
   VersionSet versions_;                 ///< the leveled file set
   std::uint64_t next_data_seq_ = 1;
+  /// The flush / compaction routine is queued or running (either
+  /// executor): at most one of each per tablet.
   bool minor_inflight_ = false;
   bool major_inflight_ = false;
   std::size_t minor_compactions_ = 0;

@@ -384,35 +384,6 @@ void WriteAheadLog::write_record(WalRecord record) {
   std::unique_lock lock(mutex_);
   throw_if_failed_locked();
 
-  if (options_.sync_mode == WalSyncMode::kPerAppend) {
-    // Serialize with any in-flight sync()/rotate() commit.
-    durable_cv_.wait(lock, [&] { return !committing_; });
-    throw_if_failed_locked();
-    record.seq = next_seq_;
-    const std::string framed = frame_body(encode_body(record));
-    // One write + one fsync per record, appenders serialized on the
-    // log mutex: the per-record durability cost this mode models. The
-    // commit site fires before the write, so an escaping
-    // TransientError leaves the sequence number unconsumed and the
-    // caller's retry appends exactly once.
-    {
-      TRACE_SPAN("wal.commit");
-      util::with_retries("wal.commit", commit_retry_policy(),
-                         [] { util::fault::point(util::fault::sites::kWalCommit); });
-      write_all(fd_, framed.data(), framed.size(), path_);
-      fsync_or_throw(fd_, path_);
-    }
-    // Per-append mode commits a batch of one.
-    wal_commit_batches().inc();
-    wal_commit_records().inc();
-    wal_commit_bytes().inc(framed.size());
-    wal_appends().inc();
-    ++next_seq_;
-    durable_seq_ = record.seq;
-    durable_cv_.notify_all();
-    return;
-  }
-
   record.seq = next_seq_++;
   PendingRecord pending;
   pending.seq = record.seq;

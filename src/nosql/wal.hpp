@@ -8,9 +8,8 @@
 // high-water mark together with its data. Torn tails — a record cut
 // off mid-write by a crash — are detected and ignored.
 //
-// Appends go through one of three sync modes (WalOptions::sync_mode):
+// Appends go through one of two sync modes (WalOptions::sync_mode):
 //
-//   per_append  every append is written + fsync'd before it returns;
 //   group       appends buffer their encoded record and block until a
 //               background committer thread has made their sequence
 //               number durable — concurrent writers share one write()
@@ -110,7 +109,7 @@ class WriteAheadLog {
   std::uint64_t next_seq() const;
 
   /// Highest sequence number known to be safely in the file (fsync'd
-  /// in per_append/group modes; written in interval mode).
+  /// in group mode; written in interval mode).
   std::uint64_t durable_seq() const;
 
   const WalOptions& options() const noexcept { return options_; }

@@ -12,13 +12,10 @@ namespace graphulo::nosql {
 /// When an appended WAL record becomes durable relative to the append
 /// call returning.
 enum class WalSyncMode {
-  /// Every append is written and fsync'd before it returns. Maximum
-  /// durability, minimum throughput — each writer pays a full sync.
-  kPerAppend,
   /// Group commit: appends are batched by a committer thread into one
-  /// buffered write + a single fsync; each append blocks only until
-  /// its own sequence number is durable. Concurrent writers share the
-  /// sync cost.
+  /// buffered write + a single fsync; each append blocks until its own
+  /// sequence number is durable. Concurrent writers share the sync
+  /// cost; a lone writer pays one sync per record.
   kGroup,
   /// Appends return immediately; the committer flushes the batch every
   /// `max_batch_latency` (or when `max_batch_bytes` accumulate).

@@ -488,7 +488,7 @@ TEST(StoreModel, RandomWorkloadMatchesReferenceMap) {
   Instance db(3);
   TableConfig cfg;
   cfg.flush_entries = 16;     // force frequent minor compactions
-  cfg.compaction_fanin = 3;   // and frequent major compactions
+  cfg.compaction.level0_trigger = 3;  // and frequent major compactions
   db.create_table("t", std::move(cfg));
 
   std::map<CellId, std::string> model;

@@ -468,8 +468,13 @@ TEST(SnapshotAdmission, LastErrorKindClassifiesTransientAndFatal) {
 // therefore contain, per writer, EXACTLY the prefix 0..k-1 for some k —
 // gaps mean a torn cut, and two reads of one snapshot must be
 // byte-identical no matter what flushes/compactions did in between.
-void run_snapshot_race(bool with_faults) {
+// `background` runs the flush/compaction routines on a 2-thread
+// CompactionScheduler instead of on the writers' threads.
+void run_snapshot_race(bool with_faults, bool background) {
   Instance db(2);
+  if (background) {
+    db.attach_compaction_scheduler(std::make_shared<CompactionScheduler>(2));
+  }
   TableConfig cfg;
   cfg.flush_entries = 64;  // constant memtable turnover
   db.create_table("t", std::move(cfg));
@@ -550,6 +555,7 @@ void run_snapshot_race(bool with_faults) {
 
   // Serial ground truth: after the race settles, the live table holds
   // every writer's full prefix.
+  db.quiesce_compactions();
   db.flush("t");
   db.compact("t");
   Scanner scan(db, "t");
@@ -558,11 +564,13 @@ void run_snapshot_race(bool with_faults) {
 }
 
 TEST(SnapshotProperty, ScannersWritersCompactionsRace) {
-  run_snapshot_race(/*with_faults=*/false);
+  run_snapshot_race(/*with_faults=*/false, /*background=*/false);
+  run_snapshot_race(/*with_faults=*/false, /*background=*/true);
 }
 
 TEST(SnapshotProperty, RaceHoldsWithFlushAndCompactionFaultsArmed) {
-  run_snapshot_race(/*with_faults=*/true);
+  run_snapshot_race(/*with_faults=*/true, /*background=*/false);
+  run_snapshot_race(/*with_faults=*/true, /*background=*/true);
 }
 
 }  // namespace
