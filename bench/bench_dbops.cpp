@@ -95,11 +95,12 @@ IngestPoint run_ingest_point(int writers, nosql::WalSyncMode mode,
   nosql::Instance db(2);
   const std::string wal_path = "/tmp/graphulo_bench_ingest.wal";
   std::remove(wal_path.c_str());
+  nosql::WalOptions wal;
+  wal.sync_mode = mode;
+  db.attach_wal(std::make_shared<nosql::WriteAheadLog>(wal_path, wal));
   nosql::TableConfig cfg;
   cfg.flush_entries = std::max<std::size_t>(1000, total_cells / 8);
-  cfg.wal.sync_mode = mode;
   cfg.rfile.cache_bytes = cache_on ? cache_bytes : 0;
-  db.attach_wal(std::make_shared<nosql::WriteAheadLog>(wal_path, cfg.wal));
   auto sched = std::make_shared<nosql::CompactionScheduler>(2);
   db.attach_compaction_scheduler(sched);
   db.create_table("t", cfg);
@@ -926,14 +927,18 @@ int main(int argc, char** argv) {
                 std::to_string(kCells) + " cells)");
   }
 
+  // The default leveled layout compacts L0 into L1 once L0 holds
+  // `level0_trigger` files, so the trigger (not the flat layout's
+  // compaction_fanin) decides how many files a scan merges.
   {
-    util::TablePrinter table({"flush_entries", "fanin", "ingest", "scan",
-                              "minor_compactions"});
+    util::TablePrinter table({"flush_entries", "l0_trigger", "ingest", "scan",
+                              "minor_compactions", "major_compactions",
+                              "files"});
     for (std::size_t flush : {5000, 20000, 100000}) {
-      for (std::size_t fanin : {4, 16}) {
+      for (std::size_t trigger : {2, 4, 16}) {
         nosql::TableConfig cfg;
         cfg.flush_entries = flush;
-        cfg.compaction_fanin = fanin;
+        cfg.compaction.level0_trigger = trigger;
         nosql::Instance db(1);
         db.create_table("t", cfg);
         util::Timer t;
@@ -953,17 +958,21 @@ int main(int argc, char** argv) {
         scanner.for_each(
             [&seen](const nosql::Key&, const nosql::Value&) { ++seen; });
         const double scan = static_cast<double>(seen) / t.seconds();
-        std::size_t mincs = 0;
+        std::size_t mincs = 0, majcs = 0, files = 0;
         for (auto& [tablet, sid] :
              db.tablets_for_range("t", nosql::Range::all())) {
-          mincs += tablet->stats().minor_compactions;
+          const auto stats = tablet->stats();
+          mincs += stats.minor_compactions;
+          majcs += stats.major_compactions;
+          files += stats.file_count;
         }
-        table.add_row({std::to_string(flush), std::to_string(fanin),
+        table.add_row({std::to_string(flush), std::to_string(trigger),
                        util::human_rate(ingest), util::human_rate(scan),
-                       std::to_string(mincs)});
+                       std::to_string(mincs), std::to_string(majcs),
+                       std::to_string(files)});
       }
     }
-    table.print("LSM tuning: flush threshold and compaction fan-in");
+    table.print("LSM tuning: flush threshold and L0 compaction trigger");
   }
 
   // Scan artifact: block-size sweep over the legacy path plus the RFL3

@@ -6,17 +6,26 @@
 // sweeps the partitioned pipeline's worker count; ablates the
 // structural mask (unmasked multiply vs masked multiply vs fused
 // masked reduce, DESIGN.md §13); and measures the in-database graph
-// algorithms (BFS / Jaccard / k-truss on tables). Expected shape: both
-// multiply paths produce identical tables, the masked paths prune
-// partial products before they cost a mutation, and the fused reduce
-// returns the same scalar without a result table. Emits
-// BENCH_tablemult.json; --smoke shrinks every sweep for CI.
+// algorithms (BFS / Jaccard / k-truss / PageRank on tables). Expected
+// shape: both multiply paths produce identical tables, the masked paths
+// prune partial products before they cost a mutation, and the fused
+// reduce returns the same scalar without a result table. The graph
+// algorithms are checked against algo/; the bench exits nonzero if any
+// disagrees. Emits BENCH_tablemult.json; --smoke shrinks every sweep
+// for CI.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <vector>
 
+#include "algo/centrality.hpp"
+#include "algo/jaccard.hpp"
+#include "algo/ktruss.hpp"
+#include "algo/traversal.hpp"
 #include "assoc/table_io.hpp"
 #include "core/table_algos.hpp"
 #include "core/tablemult.hpp"
@@ -242,42 +251,92 @@ std::string run_masked_ablation(bool smoke) {
   return json;
 }
 
-// In-database graph algorithms (the Graphulo library trio).
-void run_graph_algos(bool smoke) {
-  util::TablePrinter table({"algorithm", "n", "result", "time_ms"});
+// In-database graph algorithms (the Graphulo library trio plus
+// PageRank), each checked against its in-memory algo/ counterpart.
+// Clears `all_agree` on any disagreement.
+std::string run_graph_algos(bool smoke, bool& all_agree) {
+  util::TablePrinter table({"algorithm", "n", "result", "time_ms", "agree"});
   gen::RmatParams p;
   p.scale = smoke ? 6 : 8;
   p.edge_factor = 8;
   const auto a = gen::rmat_simple_adjacency(p);
+  const auto n = static_cast<std::size_t>(a.rows());
   nosql::Instance db(2);
   assoc::write_matrix(db, "G", a);
+  std::string json = "[";
+  const auto record = [&](const std::string& name, const std::string& result,
+                          double ms, bool agree) {
+    all_agree = all_agree && agree;
+    table.add_row({name, std::to_string(n), result,
+                   util::TablePrinter::fmt(ms, 1), agree ? "yes" : "NO"});
+    if (json.size() > 1) json += ", ";
+    json += "{\"algorithm\": \"" + name +
+            "\", \"ms\": " + util::TablePrinter::fmt(ms, 3) +
+            ", \"agree\": " + (agree ? "true" : "false") + "}";
+  };
 
   util::Timer t;
   const auto levels = core::adj_bfs(db, "G", {assoc::vertex_key(0)}, 3);
-  table.add_row({"AdjBFS (3 hops)", std::to_string(a.rows()),
-                 std::to_string(levels.size()) + " reached",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  const double bfs_ms = t.millis();
+  const auto bfs = algo::bfs_linalg(a, 0);
+  std::size_t within = 0;
+  bool bfs_agree = true;
+  for (std::size_t v = 0; v < n; ++v) {
+    const int hops = bfs.level[v];
+    if (hops < 0 || hops > 3) continue;
+    ++within;
+    const auto it = levels.find(assoc::vertex_key(static_cast<la::Index>(v)));
+    bfs_agree = bfs_agree && it != levels.end() && it->second == hops;
+  }
+  record("AdjBFS (3 hops)", std::to_string(levels.size()) + " reached",
+         bfs_ms, bfs_agree && within == levels.size());
 
   t.reset();
   const auto pairs = core::table_jaccard(db, "G", "Gjac");
-  table.add_row({"Jaccard", std::to_string(a.rows()),
-                 std::to_string(pairs) + " pairs",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  const double jaccard_ms = t.millis();
+  const auto jac = assoc::read_matrix(db, "Gjac", a.rows(), a.cols());
+  const auto jac_oracle = la::triu(algo::jaccard_linalg(a));
+  bool jaccard_agree = jac.nnz() == jac_oracle.nnz();
+  const auto got = jac.to_triples();
+  const auto want = jac_oracle.to_triples();
+  for (std::size_t i = 0; jaccard_agree && i < got.size(); ++i) {
+    jaccard_agree = got[i].row == want[i].row && got[i].col == want[i].col &&
+                    std::abs(got[i].val - want[i].val) <= 1e-12;
+  }
+  record("Jaccard", std::to_string(pairs) + " pairs", jaccard_ms,
+         jaccard_agree);
 
   t.reset();
   const auto truss_cells = core::table_ktruss(db, "G", 4, "Gtruss");
-  table.add_row({"kTruss (k=4)", std::to_string(a.rows()),
-                 std::to_string(truss_cells / 2) + " edges",
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  const double truss_ms = t.millis();
+  record("kTruss (k=4)", std::to_string(truss_cells / 2) + " edges", truss_ms,
+         assoc::read_matrix(db, "Gtruss", a.rows(), a.cols()) ==
+             algo::ktruss_adjacency(a, 4));
 
   t.reset();
   const auto pr = core::table_pagerank(db, "G", 0.15, 15);
+  const double pr_ms = t.millis();
+  // The table holds only vertices with an edge: the oracle runs on the
+  // subgraph without isolated vertices.
+  std::vector<la::Index> present;
+  const auto degrees = la::row_sums(a);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (degrees[v] != 0.0) present.push_back(static_cast<la::Index>(v));
+  }
+  const auto pr_oracle = algo::pagerank(la::spref(a, present, present), 0.15,
+                                        {.max_iterations = 15, .tolerance = 0.0});
+  bool pr_agree = pr.size() == present.size();
   double top = 0;
-  for (const auto& [key, s] : pr) top = std::max(top, s);
-  table.add_row({"PageRank (15 sweeps)", std::to_string(a.rows()),
-                 "top score " + util::TablePrinter::fmt(top, 4),
-                 util::TablePrinter::fmt(t.millis(), 1)});
+  for (std::size_t i = 0; pr_agree && i < present.size(); ++i) {
+    const auto it = pr.find(assoc::vertex_key(present[i]));
+    pr_agree = it != pr.end() &&
+               std::abs(it->second - pr_oracle.scores[i]) <= 1e-9;
+    if (pr_agree) top = std::max(top, it->second);
+  }
+  record("PageRank (15 sweeps)", "top score " + util::TablePrinter::fmt(top, 4),
+         pr_ms, pr_agree);
   table.print("Graph algorithms executed inside the database");
+  return json + "]";
 }
 
 }  // namespace
@@ -288,12 +347,17 @@ int main(int argc, char** argv) {
   const auto server_vs_client = run_server_vs_client(smoke);
   const auto worker_sweep = run_worker_sweep(smoke);
   const auto masked = run_masked_ablation(smoke);
-  run_graph_algos(smoke);
+  bool all_agree = true;
+  const auto graph_algos = run_graph_algos(smoke, all_agree);
   std::ofstream("BENCH_tablemult.json")
       << "{\"bench\": \"tablemult\", \"smoke\": " << (smoke ? "true" : "false")
       << ", \"server_vs_client\": " << server_vs_client
       << ", \"worker_sweep\": " << worker_sweep
-      << ", \"masked_vs_unmasked\": " << masked << "}\n";
-  std::printf("wrote BENCH_tablemult.json\n");
-  return 0;
+      << ", \"masked_vs_unmasked\": " << masked
+      << ", \"graph_algos\": " << graph_algos
+      << ", \"all_agree\": " << (all_agree ? "true" : "false") << "}\n";
+  std::printf("wrote BENCH_tablemult.json (%s)\n",
+              all_agree ? "graph algorithms agree with algo/"
+                        : "graph algorithm DISAGREEMENT");
+  return all_agree ? 0 : 1;
 }

@@ -47,48 +47,52 @@ std::map<std::string, int> adj_bfs(nosql::Instance& db,
 
 std::size_t table_jaccard(nosql::Instance& db, const std::string& adj_table,
                           const std::string& out_table) {
+  // Common-neighbor counts: C = A^T * A, C(i,j) = |N(i) ^ N(j)|. A is
+  // 0/1, so the diagonal C(i,i) is deg(i).
   const std::string common = out_table + "__common";
-  const std::string degrees = out_table + "__deg";
-  // Common-neighbor counts: A is symmetric, so A^T * A(i,j) counts the
-  // shared neighbors k of i and j.
-  table_mult(db, adj_table, adj_table, common, {.compact_result = true});
-  table_row_degrees(db, adj_table, degrees);
+  table_mult(db, adj_table, adj_table, common);
 
-  // Load degrees (one cell per vertex).
-  std::map<std::string, double> degree;
-  nosql::Scanner deg_scan(db, degrees);
-  deg_scan.for_each([&degree](const nosql::Key& k, const nosql::Value& v) {
-    if (const auto d = decode_double(v)) degree[k.row] = *d;
-  });
-
+  // One pass over C in row order. Row i's diagonal gives deg(i); each
+  // lower-triangle cell C(i,j), j < i, meets deg(j) already read (row j
+  // came first) and writes J(j,i) = c / (d_j + d_i - c) into the strict
+  // upper triangle of `out_table`.
   if (!db.table_exists(out_table)) db.create_table(out_table);
   nosql::BatchWriter writer(db, out_table);
   std::size_t written = 0;
-  nosql::Scanner scan(db, common);
-  scan.for_each([&](const nosql::Key& k, const nosql::Value& v) {
-    if (!(k.row < k.qualifier)) return;  // strict upper triangle only
-    const auto c = decode_double(v);
-    if (!c || *c == 0.0) return;
-    const double di = degree.count(k.row) ? degree[k.row] : 0.0;
-    const double dj = degree.count(k.qualifier) ? degree[k.qualifier] : 0.0;
-    const double denom = di + dj - *c;
-    if (denom <= 0.0) return;
-    nosql::Mutation m(k.row);
-    m.put("", k.qualifier, encode_double(*c / denom));
-    writer.add_mutation(std::move(m));
-    ++written;
-  });
+  std::map<std::string, double> degree;
+  RowReader reader(open_table_scan(db, common));
+  while (reader.has_next()) {
+    const auto block = reader.next_row();
+    double di = 0.0;
+    for (const auto& cell : block.cells) {
+      if (cell.key.qualifier != block.row) continue;
+      di = decode_double(cell.value).value_or(0.0);
+    }
+    degree[block.row] = di;
+    for (const auto& cell : block.cells) {
+      if (!(cell.key.qualifier < block.row)) continue;
+      const auto c = decode_double(cell.value);
+      if (!c || *c == 0.0) continue;
+      const auto dj = degree.find(cell.key.qualifier);
+      const double denom = (dj == degree.end() ? 0.0 : dj->second) + di - *c;
+      if (denom <= 0.0) continue;
+      nosql::Mutation m(cell.key.qualifier);
+      m.put("", block.row, encode_double(*c / denom));
+      writer.add_mutation(std::move(m));
+      ++written;
+    }
+  }
   writer.flush();
   db.delete_table(common);
-  db.delete_table(degrees);
   return written;
 }
 
 std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
                          int k, const std::string& out_table) {
-  // Working copy of the adjacency (0/1 values).
+  // Working copy of the adjacency (0/1 values), a sum table like the
+  // round results that may replace it.
   if (db.table_exists(out_table)) db.delete_table(out_table);
-  db.create_table(out_table);
+  create_sum_table(db, out_table);
   {
     nosql::BatchWriter writer(db, out_table);
     RowReader reader(open_table_scan(db, adj_table));
@@ -103,65 +107,57 @@ std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
     }
     writer.flush();
   }
+  std::size_t edges = table_entry_count(db, out_table);
+  // Every edge has support >= 0, so the 2-truss is the whole graph. The
+  // masked product below emits nothing for an edge without support, so
+  // the rounds must not run here.
+  if (k <= 2) return edges;
 
+  // Each round computes the support of every edge, S<E> = E^T E under
+  // the (+, and) semiring with E as its own structural mask, straight
+  // into the other edge table, then drops edges with support < k-2 in
+  // place. The two tables alternate; at the fixpoint both hold the
+  // same edge set, so `out_table` holds the answer whichever it is.
   const double min_support = static_cast<double>(k - 2);
-  for (int round = 0;; ++round) {
-    const std::size_t edges_before = table_entry_count(db, out_table);
-    if (edges_before == 0) break;
-
-    // Support per existing edge: S = A .* (A^T A). The TableMult output
-    // counts common neighbors; intersecting with A restricts to edges.
-    const std::string common = out_table + "__sq";
-    const std::string support = out_table + "__sup";
-    table_mult(db, out_table, out_table, common, {.compact_result = true});
-    table_ewise_mult(db, out_table, common, support);
-
-    // Rebuild the adjacency from edges whose support meets the bound.
-    std::vector<std::pair<std::string, std::string>> keep;
-    nosql::Scanner scan(db, support);
-    scan.for_each([&](const nosql::Key& key, const nosql::Value& v) {
-      const auto c = decode_double(v);
-      if (c && *c >= min_support) keep.emplace_back(key.row, key.qualifier);
+  std::string cur = out_table;
+  std::string next = out_table + "__kt";
+  TableMultOptions options;
+  options.multiply = [](double, double) { return 1.0; };
+  for (;;) {
+    if (db.table_exists(next)) db.delete_table(next);
+    options.mask_table = cur;
+    table_mult(db, cur, cur, next, options);
+    table_filter(db, next, [min_support](const nosql::Key&, double support) {
+      return support >= min_support;
     });
-    db.delete_table(common);
-    db.delete_table(support);
-
-    db.delete_table(out_table);
-    db.create_table(out_table);
-    {
-      nosql::BatchWriter writer(db, out_table);
-      for (const auto& [r, q] : keep) {
-        nosql::Mutation m(r);
-        m.put("", q, encode_double(1.0));
-        writer.add_mutation(std::move(m));
-      }
-      writer.flush();
-    }
-    if (keep.size() == edges_before) break;  // fixpoint
+    const std::size_t kept = table_entry_count(db, next);
+    std::swap(cur, next);
+    if (kept == edges) break;  // fixpoint
+    edges = kept;
   }
-  return table_entry_count(db, out_table);
+  db.delete_table(out_table + "__kt");
+  // The surviving cells hold supports (or the copy's 1s): back to 0/1.
+  table_apply(db, out_table, [](double) { return 1.0; });
+  return edges;
 }
 
 std::map<std::string, double> table_pagerank(nosql::Instance& db,
                                              const std::string& adj_table,
                                              double alpha, int iterations) {
-  // Vertex universe and out-degrees from one degree pass + one scan of
-  // the adjacency table's qualifiers (sinks appear only as qualifiers).
+  // Vertex universe and out-degrees (row sums) from one pass over the
+  // adjacency table; sinks appear only as qualifiers and get degree 0.
   std::map<std::string, double> degree;
   {
-    const std::string deg_table = adj_table + "__prdeg";
-    table_row_degrees(db, adj_table, deg_table);
-    nosql::Scanner scan(db, deg_table);
-    scan.for_each([&degree](const nosql::Key& k, const nosql::Value& v) {
-      if (const auto d = decode_double(v)) degree[k.row] = *d;
-    });
-    db.delete_table(deg_table);
-  }
-  {
-    nosql::Scanner scan(db, adj_table);
-    scan.for_each([&degree](const nosql::Key& k, const nosql::Value&) {
-      degree.emplace(k.qualifier, 0.0);  // sinks get degree 0
-    });
+    RowReader reader(open_table_scan(db, adj_table));
+    while (reader.has_next()) {
+      const auto block = reader.next_row();
+      double d = 0.0;
+      for (const auto& cell : block.cells) {
+        if (const auto v = decode_double(cell.value)) d += *v;
+        degree.emplace(cell.key.qualifier, 0.0);
+      }
+      degree[block.row] = d;
+    }
   }
   const auto n = degree.size();
   std::map<std::string, double> x;
@@ -171,7 +167,6 @@ std::map<std::string, double> table_pagerank(nosql::Instance& db,
   }
 
   const std::string x_table = adj_table + "__prx";
-  const std::string y_table = adj_table + "__pry";
   for (int it = 0; it < iterations; ++it) {
     // Write the scaled frontier x/d as a one-column table.
     if (db.table_exists(x_table)) db.delete_table(x_table);
@@ -190,29 +185,24 @@ std::map<std::string, double> table_pagerank(nosql::Instance& db,
         writer.add_mutation(std::move(m));
       }
     }
-    // One server-side TableMult: y(j) = sum_i A(i, j) * (x/d)(i).
-    if (db.table_exists(y_table)) db.delete_table(y_table);
-    table_mult(db, adj_table, x_table, y_table);
-    std::map<std::string, double> y;
-    {
-      nosql::Scanner scan(db, y_table);
-      scan.for_each([&y](const nosql::Key& k, const nosql::Value& v) {
-        if (const auto d = decode_double(v)) y[k.row] = *d;
-      });
-    }
+    // One fused server-side sweep: y(j) = sum_i A(i, j) * (x/d)(i),
+    // folded per output row without a result table.
+    const auto y =
+        table_mult_reduce(db, adj_table, x_table, {}, /*per_row=*/true)
+            .row_totals;
     // Client-side O(n) glue: damping + dangling redistribution.
     const double uniform =
         alpha / static_cast<double>(n) +
         (1.0 - alpha) * dangling / static_cast<double>(n);
     double total = 0.0;
     for (auto& [key, value] : x) {
-      value = (1.0 - alpha) * (y.count(key) ? y[key] : 0.0) + uniform;
+      const auto yk = y.find(key);
+      value = (1.0 - alpha) * (yk == y.end() ? 0.0 : yk->second) + uniform;
       total += value;
     }
     for (auto& [key, value] : x) value /= total;
   }
   if (db.table_exists(x_table)) db.delete_table(x_table);
-  if (db.table_exists(y_table)) db.delete_table(y_table);
   return x;
 }
 

@@ -3,7 +3,10 @@
 // paper's end goal ("perform graph algorithms directly on NoSQL
 // databases"). The trio implemented here (BFS from a seed set, Jaccard
 // similarity, k-truss) matches the headline algorithms of the actual
-// Graphulo server library, built on TableMult / table-scope kernels.
+// Graphulo server library. Jaccard, k-truss and PageRank each run as
+// TableMult calls — masked where the algorithm has a mask, fused into a
+// reduction where it needs no result table — with the client holding
+// at most one value per vertex.
 
 #include <cstdint>
 #include <map>
@@ -24,19 +27,25 @@ std::map<std::string, int> adj_bfs(nosql::Instance& db,
                                    const std::vector<std::string>& seeds,
                                    int max_hops);
 
-/// Jaccard similarity on an undirected 0/1 adjacency table. Computes
-/// common-neighbor counts server-side with TableMult, degrees with a
-/// row-degree pass, and writes J(i,j) = |N(i) ^ N(j)| / |N(i) u N(j)|
-/// for i < j into `out_table`. Returns the number of similarity cells
-/// written.
+/// Jaccard similarity on an undirected 0/1 adjacency table. One
+/// TableMult computes the common-neighbor counts C = A^T A, whose
+/// diagonal holds the degrees; one pass over C reads the degrees and
+/// writes J(i,j) = |N(i) ^ N(j)| / |N(i) u N(j)| for i < j into
+/// `out_table`. C is dropped before returning. Returns the number of
+/// similarity cells written.
 std::size_t table_jaccard(nosql::Instance& db, const std::string& adj_table,
                           const std::string& out_table);
 
 /// k-truss of an undirected 0/1 adjacency table (Graphulo's kTrussAdj
-/// iteration): repeatedly compute per-edge triangle support via
-/// TableMult + table eWise, delete edges with support < k-2, until a
-/// fixpoint. The surviving subgraph is written to `out_table` (0/1
-/// adjacency). Returns the number of surviving directed edge cells.
+/// iteration). Each round is one masked TableMult S<E> = E^T E under
+/// the (+, and) semiring — E is its own mask, so only existing edges
+/// get a support — written straight into the other of two alternating
+/// edge tables, then one in-place table_filter that drops edges with
+/// support < k-2; rounds repeat until a fixpoint. Self-loops are
+/// dropped; for k <= 2 the loop-free copy is the answer. The surviving
+/// subgraph is written to `out_table` (0/1 adjacency, created as a sum
+/// table — see create_sum_table). Returns the number of surviving
+/// directed edge cells.
 std::size_t table_ktruss(nosql::Instance& db, const std::string& adj_table,
                          int k, const std::string& out_table);
 
@@ -79,12 +88,14 @@ std::uint64_t table_triangle_count_trace(nosql::Instance& db,
 std::uint64_t table_triangle_count_incidence(nosql::Instance& db,
                                              const std::string& adj_table);
 
-/// PageRank executed against an adjacency table: each power sweep is one
-/// server-side TableMult C(j) += sum_i A(i, j) * x(i)/d(i) with the
-/// frontier vector stored as a one-column table; the client only applies
-/// the O(n) damping/dangling correction between sweeps (Graphulo's
-/// orchestration pattern: bulk work in the database, scalar glue in the
-/// client). Returns vertex key -> score (sums to 1).
+/// PageRank executed against an adjacency table: out-degrees and the
+/// vertex universe (sinks included) come from one pass over A; each
+/// power sweep is one fused per-row table_mult_reduce
+/// y(j) = sum_i A(i, j) * x(i)/d(i) with the frontier vector stored as
+/// a one-column table, so no result table is written. The client only
+/// applies the O(n) damping/dangling correction between sweeps
+/// (Graphulo's orchestration pattern: bulk work in the database, scalar
+/// glue in the client). Returns vertex key -> score (sums to 1).
 std::map<std::string, double> table_pagerank(nosql::Instance& db,
                                              const std::string& adj_table,
                                              double alpha = 0.15,

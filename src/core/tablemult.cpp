@@ -80,11 +80,6 @@ obs::Counter& tm_partial_products_pruned() {
   return c;
 }
 
-/// A partition attempt exceeded its cooperative deadline.
-struct PartitionTimeout : std::runtime_error {
-  using std::runtime_error::runtime_error;
-};
-
 /// The structural mask, loaded once per multiply from one consistent
 /// cut of the mask table: output row key -> the set of output
 /// qualifiers M stores there. Values are ignored (presence IS the
@@ -277,9 +272,6 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
   TableMultPartitionStats stats;
   if (range.has_start) stats.start_row = range.start.row;
   if (range.has_end) stats.end_row = range.end.row;
-  const double deadline_s =
-      std::chrono::duration<double>(options.partition_deadline).count();
-  const bool complement = options.complement_mask;
 
   try {
     // The view is one pinned cut: every worker and every retry sees
@@ -315,11 +307,6 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
     stats.scan_seconds += phase.seconds();
     while (have_a && have_b) {
       util::fault::point(util::fault::sites::kTableMultWorker);
-      if (deadline_s > 0.0 && total.seconds() > deadline_s) {
-        throw PartitionTimeout("TableMult partition [" + stats.start_row +
-                               ", " + stats.end_row + ") exceeded its " +
-                               std::to_string(deadline_s) + "s deadline");
-      }
       if (row_a.row < row_b.row) {
         phase.reset();
         reader_a.advance_to(row_b.row);
@@ -352,8 +339,7 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
         const std::unordered_set<std::string>* mask_row =
             mask ? mask->row(ca.key.qualifier) : nullptr;
         const auto pruned = [&](const JoinedCell& cb) {
-          return mask && (mask_row && mask_row->count(*cb.qualifier) != 0) ==
-                             complement;
+          return mask && (!mask_row || mask_row->count(*cb.qualifier) == 0);
         };
         if (reduce) {
           // Fused reduce: fold surviving products straight into the
@@ -416,9 +402,8 @@ TableMultPartitionStats mult_partition(TableMultDataPlane::ReadView& view,
 /// Runs one partition to completion: retries transient failures on
 /// fresh scans + a fresh writer (see mult_partition for the
 /// exactly-once argument; reduce attempts restart on a cleared
-/// accumulator), degrades a deadline overrun into a timed-out partition
-/// record instead of an exception. Write mode (`reduce` null) writes
-/// into `table_c` on writer stream `stream`, re-opened by every retry.
+/// accumulator). Write mode (`reduce` null) writes into `table_c` on
+/// writer stream `stream`, re-opened by every retry.
 TableMultPartitionStats run_partition(
     TableMultDataPlane& plane, TableMultDataPlane::ReadView& view,
     const std::string& table_a, const std::string& table_b,
@@ -433,16 +418,6 @@ TableMultPartitionStats run_partition(
       auto stats = mult_partition(view, table_a, table_b, options, mask,
                                   reduce, per_row, range, writer.get());
       stats.attempts = attempt;
-      return stats;
-    } catch (const PartitionTimeout& e) {
-      GRAPHULO_WARN << "TableMult: " << e.what()
-                    << "; degrading to a partial result";
-      if (reduce) *reduce = ReduceAcc{};
-      TableMultPartitionStats stats;
-      if (range.has_start) stats.start_row = range.start.row;
-      if (range.has_end) stats.end_row = range.end.row;
-      stats.attempts = attempt;
-      stats.timed_out = true;
       return stats;
     } catch (const util::TransientError& e) {
       if (attempt > options.max_partition_retries) throw;
@@ -581,7 +556,6 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
     stats.cells_emitted += p.cells_emitted;
     stats.seeks += p.seeks;
     if (p.attempts > 1) ++stats.retried_partitions;
-    if (p.timed_out) ++stats.timed_out_partitions;
   }
   if (reduce_mode) {
     // Distinct k-partitions contribute disjoint partial-product sets;
@@ -596,13 +570,6 @@ TableMultStats run_mult(TableMultDataPlane& plane, const std::string& table_a,
   tm_partial_products().inc(stats.partial_products);
   tm_partial_products_pruned().inc(stats.partial_products_pruned);
   tm_cells_emitted().inc(stats.cells_emitted);
-  if (stats.timed_out_partitions > 0) {
-    GRAPHULO_WARN << "TableMult: " << stats.timed_out_partitions << " of "
-                  << stats.partitions.size()
-                  << " partitions hit the deadline; "
-                  << (reduce_mode ? "the reduction" : table_c)
-                  << " is missing their contributions";
-  }
   // Release the input pins before compacting C: when C aliases an input
   // (in-place kernels), a live snapshot would hold the compaction's
   // delete-marker/version GC hostage for no reason.
@@ -627,7 +594,7 @@ TableMultStats table_mult(nosql::Instance& db, const std::string& table_a,
                           const std::string& table_c,
                           const TableMultOptions& options) {
   LocalDataPlane plane(db);
-  return run_mult(plane, table_a, table_b, table_c, options, nullptr, false);
+  return table_mult(plane, table_a, table_b, table_c, options);
 }
 
 TableMultReduceResult table_mult_reduce(TableMultDataPlane& plane,
@@ -650,13 +617,7 @@ TableMultReduceResult table_mult_reduce(nosql::Instance& db,
                                         const TableMultOptions& options,
                                         bool per_row) {
   LocalDataPlane plane(db);
-  ReduceAcc merged;
-  TableMultReduceResult result;
-  result.stats =
-      run_mult(plane, table_a, table_b, "", options, &merged, per_row);
-  result.total = merged.total;
-  result.row_totals = std::move(merged.rows);
-  return result;
+  return table_mult_reduce(plane, table_a, table_b, options, per_row);
 }
 
 TableMultStats client_side_mult(nosql::Instance& db, const std::string& table_a,

@@ -54,9 +54,7 @@
 // the accumulator's drain points and its sorted emission included — and
 // every attempt resends it from sequence 0: the Instance that applies
 // it skips what earlier attempts applied, so no pre-summed cell lands
-// twice — on both data planes. An optional per-partition deadline
-// turns a hung partition into a warning + stats flag instead of a
-// stall.
+// twice — on both data planes.
 //
 // Masking and fusion (DESIGN.md §13): a structural mask table M gates
 // the output — partial products whose (row, qualifier) M does not name
@@ -71,7 +69,6 @@
 // The client-side baseline (read A and B out, SpGEMM locally, write C
 // back) is provided for the bench_tablemult ablation.
 
-#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -106,13 +103,6 @@ struct TableMultOptions {
   /// on the same writer stream, and the Instance skips the prefix
   /// already applied, so no cell is written twice.
   std::size_t max_partition_retries = 2;
-  /// Wall-clock budget per partition attempt; zero = unlimited. A
-  /// partition that exceeds it aborts cooperatively and is reported as
-  /// timed out (a warning + TableMultStats::timed_out_partitions)
-  /// instead of stalling the whole multiply. C is then missing that
-  /// partition's contribution — callers opting into deadlines trade
-  /// completeness for bounded latency.
-  std::chrono::milliseconds partition_deadline{0};
   /// Structural mask (GraphBLAS C<M>): when non-empty, names a table M
   /// whose stored (row, qualifier) set gates the output. A partial
   /// product destined for C(i, j) is dropped inside the merge join —
@@ -123,9 +113,6 @@ struct TableMultOptions {
   /// consistent cut too. Drops are counted per partition and in the
   /// tablemult.partial_products_pruned.total metric.
   std::string mask_table{};
-  /// Invert the mask: keep partial products whose (i, j) is ABSENT from
-  /// M (GraphBLAS complemented structural mask).
-  bool complement_mask = false;
   /// Applied to M's cells while the mask is loaded: only cells the
   /// predicate keeps participate. With strict_lower_filter() the
   /// adjacency table itself serves as the L mask of the triangle
@@ -158,7 +145,6 @@ struct TableMultPartitionStats {
                                       ///< mutations + the writer's close
   double seconds = 0.0;               ///< wall time of the whole partition
   std::size_t attempts = 1;           ///< 1 = no retries were needed
-  bool timed_out = false;             ///< gave up at the deadline
 };
 
 /// Statistics from one table_mult() run. Totals are the sums over
@@ -170,8 +156,7 @@ struct TableMultStats {
   std::size_t cells_emitted = 0;      ///< pre-summed cells sent to C
   std::size_t seeks = 0;              ///< merge-join seeks on A + B
   double seconds = 0.0;               ///< wall time (partitions overlap)
-  std::size_t retried_partitions = 0;   ///< partitions needing > 1 attempt
-  std::size_t timed_out_partitions = 0; ///< partitions lost to the deadline
+  std::size_t retried_partitions = 0;  ///< partitions needing > 1 attempt
   std::vector<TableMultPartitionStats> partitions;
 };
 

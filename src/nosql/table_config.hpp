@@ -11,7 +11,6 @@
 #include "nosql/iterator.hpp"
 #include "nosql/rfile.hpp"
 #include "nosql/version_set.hpp"
-#include "nosql/wal_options.hpp"
 
 namespace graphulo::nosql {
 
@@ -46,9 +45,6 @@ struct TableConfig {
   /// Hard ceiling on a tablet's file count: writers block
   /// (back-pressure) until a compaction brings the count back down.
   std::size_t max_tablet_files = 64;
-  /// WAL durability knobs (sync mode, group-commit batch limits) for
-  /// instances whose WriteAheadLog is built from this config.
-  WalOptions wal;
   /// Keep only the newest version of each cell (disable when an attached
   /// combiner needs to see every version).
   bool versioning = true;

@@ -9,7 +9,6 @@
 #include <set>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -451,7 +450,7 @@ TEST_F(FaultTest, ThresholdFlushFailureIsContainedNotLost) {
 }
 
 // ---------------------------------------------------------------------------
-// TableMult partition retry + deadline
+// TableMult partition retry
 // ---------------------------------------------------------------------------
 
 /// A(k,i), B(k,j) over `rows` shared rows with small-integer values, so
@@ -497,29 +496,11 @@ TEST_F(FaultTest, TableMultRetriesFailedPartitionsExactlyOnce) {
   const auto stats = table_mult(db, "A", "B", "C", opt);
   EXPECT_GE(fault::stats(sites::kTableMultWorker).fires, 1u);
   EXPECT_GE(stats.retried_partitions, 1u);
-  EXPECT_EQ(stats.timed_out_partitions, 0u);
   fault::reset();
 
   // Despite abandoned attempts and resumed partitions, every partial
   // product landed exactly once: the sums match the unfaulted run.
   EXPECT_EQ(value_map(db, "C"), expected);
-}
-
-TEST_F(FaultTest, PartitionDeadlineDegradesToWarningNotStall) {
-  Instance db;
-  fill_mult_inputs(db, 3);
-  TableMultOptions opt;
-  opt.num_workers = 1;
-  opt.partition_deadline = std::chrono::milliseconds(1);
-  opt.multiply = [](double a, double b) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(3));
-    return a * b;
-  };
-  // Must return (with the partition marked lost), not throw or hang.
-  const auto stats = table_mult(db, "A", "B", "C", opt);
-  ASSERT_EQ(stats.partitions.size(), 1u);
-  EXPECT_TRUE(stats.partitions[0].timed_out);
-  EXPECT_EQ(stats.timed_out_partitions, 1u);
 }
 
 // ---------------------------------------------------------------------------

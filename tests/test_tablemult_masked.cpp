@@ -60,27 +60,6 @@ TEST(MaskedTableMult, MatchesSpgemmMaskedOracle) {
   EXPECT_GT(stats.partial_products_pruned, 0u);
 }
 
-TEST(MaskedTableMult, ComplementMaskMatchesComplementOracle) {
-  const auto a = random_sparse_int(15, 12, 0.3, 104);
-  const auto b = random_sparse_int(15, 13, 0.3, 105);
-  const auto mask = random_sparse_int(12, 13, 0.3, 106);
-  nosql::Instance db(1);
-  write_matrix(db, "A", a);
-  write_matrix(db, "B", b);
-  write_matrix(db, "M", mask);
-
-  TableMultOptions options;
-  options.compact_result = true;
-  options.mask_table = "M";
-  options.complement_mask = true;
-  table_mult(db, "A", "B", "C", options);
-  const auto c = read_matrix(db, "C", 12, 13);
-
-  const auto oracle = la::spgemm_masked<la::PlusTimes<double>>(
-      la::transpose(a), b, mask, /*complement_mask=*/true);
-  EXPECT_EQ(c, oracle);
-}
-
 TEST(MaskedTableMult, MissingMaskTableThrows) {
   nosql::Instance db(1);
   write_matrix(db, "A", random_sparse_int(4, 4, 0.5, 107));
