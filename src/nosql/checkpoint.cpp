@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
 
+#include "nosql/codec.hpp"
 #include "nosql/manifest.hpp"
-#include "util/checksum.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
 
@@ -18,41 +17,6 @@ namespace graphulo::nosql {
 namespace {
 
 constexpr std::uint32_t kCheckpointMagic = 0x47434b33;  // "GCK3" (+ streams)
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_string(std::string& buf, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buf.append(s);
-}
-
-struct PayloadReader {
-  const char* p;
-  std::size_t remaining;
-
-  bool read_raw(void* dst, std::size_t n) {
-    if (remaining < n) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-
-  bool read_u64(std::uint64_t& v) { return read_raw(&v, sizeof(v)); }
-
-  bool read_string(std::string& s) {
-    std::uint32_t len = 0;
-    if (!read_raw(&len, sizeof(len))) return false;
-    if (remaining < len) return false;
-    s.assign(p, len);
-    p += len;
-    remaining -= len;
-    return true;
-  }
-};
 
 /// One table's snapshot (catalog + unflushed cells + writer stream
 /// marks), decoded. Flushed data travels separately as manifest + file
@@ -163,19 +127,21 @@ void remove_stale_epochs(const std::string& checkpoint_path,
 
 // -- main snapshot encode/decode --------------------------------------------
 
+/// The whole GCK3 file: the image, framed (wire::begin_frame).
 std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
                               std::uint64_t epoch, CheckpointStats& stats) {
-  std::string payload;
-  put_u64(payload, static_cast<std::uint64_t>(db.last_timestamp()));
-  put_u64(payload, covers_seq);
-  put_u64(payload, epoch);
+  std::string file;
+  const std::size_t frame = wire::begin_frame(file, kCheckpointMagic);
+  wire::put_i64(file, db.last_timestamp());
+  wire::put_u64(file, covers_seq);
+  wire::put_u64(file, epoch);
   const auto names = db.table_names();
-  put_u64(payload, names.size());
+  wire::put_u64(file, names.size());
   for (const auto& name : names) {
-    put_string(payload, name);
+    wire::put_string(file, name);
     const auto splits = db.list_splits(name);
-    put_u64(payload, splits.size());
-    for (const auto& s : splits) put_string(payload, s);
+    wire::put_u64(file, splits.size());
+    for (const auto& s : splits) wire::put_string(file, s);
     // Unflushed cells only (all versions + delete markers), in extent
     // order across tablets so restore re-routes them identically.
     // Flushed data rides along as file artifacts, not re-encoded cells.
@@ -185,123 +151,63 @@ std::string encode_checkpoint(Instance& db, std::uint64_t covers_seq,
       cells.insert(cells.end(), std::make_move_iterator(part.begin()),
                    std::make_move_iterator(part.end()));
     }
-    put_u64(payload, cells.size());
-    for (const auto& c : cells) {
-      put_string(payload, c.key.row);
-      put_string(payload, c.key.family);
-      put_string(payload, c.key.qualifier);
-      put_string(payload, c.key.visibility);
-      put_u64(payload, static_cast<std::uint64_t>(c.key.ts));
-      payload.push_back(c.key.deleted ? 1 : 0);
-      put_string(payload, c.value);
-    }
+    wire::put_u64(file, cells.size());
+    for (const auto& c : cells) wire::put_cell(file, c);
     // Stream marks ride with their table: the WAL records that raised
     // them are about to be rotated away.
     const auto streams = db.stream_marks(name);
-    put_u64(payload, streams.size());
+    wire::put_u64(file, streams.size());
     for (const auto& [stream, next_seq] : streams) {
-      put_string(payload, stream);
-      put_u64(payload, next_seq);
+      wire::put_string(file, stream);
+      wire::put_u64(file, next_seq);
     }
     stats.cells += cells.size();
     ++stats.tables;
   }
-  return payload;
-}
-
-bool decode_checkpoint(const std::string& payload, CheckpointImage& image) {
-  PayloadReader reader{payload.data(), payload.size()};
-  std::uint64_t clock = 0, covers_seq = 0, epoch = 0, table_count = 0;
-  if (!reader.read_u64(clock) || !reader.read_u64(covers_seq) ||
-      !reader.read_u64(epoch) || !reader.read_u64(table_count)) {
-    return false;
-  }
-  image.clock = static_cast<Timestamp>(clock);
-  image.covers_seq = covers_seq;
-  image.epoch = epoch;
-  for (std::uint64_t t = 0; t < table_count; ++t) {
-    TableSnapshot snap;
-    if (!reader.read_string(snap.name)) return false;
-    std::uint64_t split_count = 0;
-    if (!reader.read_u64(split_count)) return false;
-    for (std::uint64_t i = 0; i < split_count; ++i) {
-      std::string s;
-      if (!reader.read_string(s)) return false;
-      snap.splits.push_back(std::move(s));
-    }
-    std::uint64_t cell_count = 0;
-    if (!reader.read_u64(cell_count)) return false;
-    snap.cells.reserve(cell_count);
-    for (std::uint64_t i = 0; i < cell_count; ++i) {
-      Cell c;
-      std::uint64_t ts = 0;
-      if (!reader.read_string(c.key.row) ||
-          !reader.read_string(c.key.family) ||
-          !reader.read_string(c.key.qualifier) ||
-          !reader.read_string(c.key.visibility) || !reader.read_u64(ts)) {
-        return false;
-      }
-      c.key.ts = static_cast<Timestamp>(ts);
-      char del = 0;
-      if (!reader.read_raw(&del, 1)) return false;
-      c.key.deleted = del != 0;
-      if (!reader.read_string(c.value)) return false;
-      snap.cells.push_back(std::move(c));
-    }
-    std::uint64_t stream_count = 0;
-    if (!reader.read_u64(stream_count)) return false;
-    for (std::uint64_t i = 0; i < stream_count; ++i) {
-      std::string stream;
-      std::uint64_t next_seq = 0;
-      if (!reader.read_string(stream) || !reader.read_u64(next_seq)) {
-        return false;
-      }
-      snap.streams.emplace(std::move(stream), next_seq);
-    }
-    image.tables.push_back(std::move(snap));
-  }
-  return reader.remaining == 0;
-}
-
-/// Writes magic | len | payload | crc to `path`. False on I/O failure.
-bool write_file(const std::string& path, const std::string& payload) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  const auto payload_len = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = util::crc32(payload.data(), payload.size());
-  out.write(reinterpret_cast<const char*>(&kCheckpointMagic),
-            sizeof(kCheckpointMagic));
-  out.write(reinterpret_cast<const char*>(&payload_len), sizeof(payload_len));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  out.flush();
-  return static_cast<bool>(out);
+  wire::end_frame(file, frame);
+  return file;
 }
 
 /// Loads and validates a checkpoint main file. False on missing file,
-/// bad magic, truncation, or CRC mismatch.
+/// bad magic, truncation, CRC mismatch or a payload that does not
+/// decode.
 bool load_file(const std::string& path, CheckpointImage& image) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::uint32_t magic = 0;
-  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic)) ||
-      magic != kCheckpointMagic) {
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return false;
+  try {
+    wire::Cursor file(bytes);
+    std::uint32_t magic = 0;
+    const std::string_view payload = wire::get_frame(file, magic);
+    file.expect_end();
+    if (magic != kCheckpointMagic) return false;
+    wire::Cursor c(payload.data(), payload.size());
+    image.clock = wire::get_i64(c);
+    image.covers_seq = wire::get_u64(c);
+    image.epoch = wire::get_u64(c);
+    const std::uint64_t table_count = wire::get_u64(c);
+    for (std::uint64_t t = 0; t < table_count; ++t) {
+      TableSnapshot snap;
+      snap.name = wire::get_string(c);
+      const std::uint64_t split_count = wire::get_u64(c);
+      for (std::uint64_t i = 0; i < split_count; ++i) {
+        snap.splits.push_back(wire::get_string(c));
+      }
+      const std::uint64_t cell_count = wire::get_u64(c);
+      for (std::uint64_t i = 0; i < cell_count; ++i) {
+        snap.cells.push_back(wire::get_cell(c));
+      }
+      const std::uint64_t stream_count = wire::get_u64(c);
+      for (std::uint64_t i = 0; i < stream_count; ++i) {
+        std::string stream = wire::get_string(c);
+        snap.streams.emplace(std::move(stream), wire::get_u64(c));
+      }
+      image.tables.push_back(std::move(snap));
+    }
+    c.expect_end();
+    return true;
+  } catch (const wire::WireError&) {
     return false;
   }
-  std::uint64_t payload_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len))) {
-    return false;
-  }
-  std::string payload(payload_len, '\0');
-  if (!in.read(payload.data(), static_cast<std::streamsize>(payload_len))) {
-    return false;
-  }
-  std::uint32_t stored_crc = 0;
-  if (!in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc))) {
-    return false;
-  }
-  if (util::crc32(payload.data(), payload.size()) != stored_crc) return false;
-  return decode_checkpoint(payload, image);
 }
 
 /// Persists every live RFile under `dir` and appends one VersionEdit
@@ -371,9 +277,11 @@ CheckpointStats write_checkpoint(Instance& db,
     }
     ManifestWriter manifest(manifest_path_for(checkpoint_path, epoch));
     persist_file_sets(db, dir, manifest, fresh);
-    const std::string payload =
-        encode_checkpoint(db, covers_seq, epoch, fresh);
-    if (!write_file(tmp_path, payload)) {
+    const std::string file = encode_checkpoint(db, covers_seq, epoch, fresh);
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    out.write(file.data(), static_cast<std::streamsize>(file.size()));
+    out.flush();
+    if (!out) {
       throw util::TransientError("write_checkpoint: I/O failure on " +
                                  tmp_path);
     }

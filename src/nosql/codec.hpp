@@ -14,6 +14,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 #include "nosql/key.hpp"
 #include "nosql/mutation.hpp"
@@ -41,11 +42,15 @@ std::string encode_u64_be(std::uint64_t v);
 std::optional<std::uint64_t> decode_u64_be(const std::string& bytes);
 
 // ---- wire codecs --------------------------------------------------------
-// Fixed-width little-endian binary encoding of the store's data types
-// for the RPC wire (src/rpc) and any other process-boundary format.
-// Strings are u32-length-prefixed. Decoding is fully bounds-checked:
-// malformed or truncated input throws WireError, never reads out of
-// bounds — the RPC layer maps it to a bad-request rejection.
+// Fixed-width little-endian binary encoding of the store's data types:
+// the one byte codec of the RPC wire (src/rpc) and of every durable
+// format — WAL records, MANIFEST edits, the GCK3 checkpoint and the
+// RFL2/RFL3 RFiles (DESIGN.md §14.1 gives the layouts). Strings are
+// u32-length-prefixed. Decoding is fully bounds-checked: malformed or
+// truncated input throws WireError, never reads out of bounds, and
+// checks every length against the bytes present before allocating — the
+// RPC layer maps it to a bad-request rejection, the file loaders to a
+// rejected file.
 
 namespace wire {
 
@@ -87,6 +92,8 @@ std::uint32_t get_u32(Cursor& c);
 std::uint64_t get_u64(Cursor& c);
 std::int64_t get_i64(Cursor& c);
 std::string get_string(Cursor& c);
+/// The next `n` bytes, as a view into the cursor's buffer.
+std::string_view get_bytes(Cursor& c, std::size_t n);
 
 /// Cell-model codecs: Key (row, family, qualifier, visibility, ts,
 /// delete marker), Cell (key + value), Mutation (row + column updates)
@@ -100,6 +107,23 @@ void put_mutation(std::string& out, const Mutation& m);
 Mutation get_mutation(Cursor& c);
 void put_range(std::string& out, const Range& r);
 Range get_range(Cursor& c);
+
+/// The file frame of the GCK3 checkpoint and the RFL2/RFL3 RFiles:
+///   magic u32 | payload_len u64 | payload | crc32(payload) u32
+/// begin_frame() writes the magic and a length placeholder at the end of
+/// `out` and returns the frame's offset; the caller appends the payload;
+/// end_frame() patches the length and appends the CRC.
+std::size_t begin_frame(std::string& out, std::uint32_t magic);
+void end_frame(std::string& out, std::size_t frame);
+
+/// Reads one frame, setting `magic` and returning its payload (a view
+/// into the cursor's buffer). Throws WireError when the stated length
+/// runs past the bytes present or the CRC does not match.
+std::string_view get_frame(Cursor& c, std::uint32_t& magic);
+
+/// Reads the whole file at `path` into `out`, allocating exactly its
+/// size. False when it cannot be opened or read in full.
+bool read_file(const std::string& path, std::string& out);
 
 }  // namespace wire
 

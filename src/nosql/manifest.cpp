@@ -1,9 +1,9 @@
 #include "nosql/manifest.hpp"
 
-#include <cstring>
 #include <fstream>
 #include <stdexcept>
 
+#include "nosql/codec.hpp"
 #include "util/checksum.hpp"
 #include "util/fault.hpp"
 #include "util/log.hpp"
@@ -12,96 +12,35 @@ namespace graphulo::nosql {
 
 namespace {
 
-void put_u32(std::string& buf, std::uint32_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void put_string(std::string& buf, const std::string& s) {
-  put_u32(buf, static_cast<std::uint32_t>(s.size()));
-  buf.append(s);
-}
-
-// Keys are encoded in full — timestamp and delete flag included — so a
-// replayed FileMeta prunes scans exactly as the live one did.
-void put_key(std::string& buf, const Key& k) {
-  put_string(buf, k.row);
-  put_string(buf, k.family);
-  put_string(buf, k.qualifier);
-  put_string(buf, k.visibility);
-  put_u64(buf, static_cast<std::uint64_t>(k.ts));
-  buf.push_back(k.deleted ? 1 : 0);
-}
-
-struct PayloadReader {
-  const char* p;
-  std::size_t remaining;
-
-  bool read_raw(void* dst, std::size_t n) {
-    if (remaining < n) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-
-  bool read_u32(std::uint32_t& v) { return read_raw(&v, sizeof(v)); }
-  bool read_u64(std::uint64_t& v) { return read_raw(&v, sizeof(v)); }
-
-  bool read_string(std::string& s) {
-    std::uint32_t len = 0;
-    if (!read_u32(len)) return false;
-    if (remaining < len) return false;
-    s.assign(p, len);
-    p += len;
-    remaining -= len;
-    return true;
-  }
-
-  bool read_key(Key& k) {
-    std::uint64_t ts = 0;
-    char del = 0;
-    if (!read_string(k.row) || !read_string(k.family) ||
-        !read_string(k.qualifier) || !read_string(k.visibility) ||
-        !read_u64(ts) || !read_raw(&del, 1)) {
-      return false;
+bool decode_payload(std::string_view payload, VersionEdit& edit) {
+  try {
+    wire::Cursor c(payload.data(), payload.size());
+    edit.table = wire::get_string(c);
+    edit.has_extent_start = wire::get_u8(c) != 0;
+    edit.extent_start = wire::get_string(c);
+    const std::uint64_t n_added = wire::get_u64(c);
+    for (std::uint64_t i = 0; i < n_added; ++i) {
+      FileMeta m;
+      m.file_id = wire::get_u64(c);
+      m.level = static_cast<int>(wire::get_u64(c));
+      m.seq = wire::get_u64(c);
+      m.cells = wire::get_u64(c);
+      m.bytes = wire::get_u64(c);
+      // Keys are decoded in full — timestamp and delete flag included —
+      // so a replayed FileMeta prunes scans exactly as the live one did.
+      m.first_key = wire::get_key(c);
+      m.last_key = wire::get_key(c);
+      edit.added.push_back(std::move(m));
     }
-    k.ts = static_cast<Timestamp>(ts);
-    k.deleted = del != 0;
-    return true;
-  }
-};
-
-bool decode_payload(const std::string& payload, VersionEdit& edit) {
-  PayloadReader r{payload.data(), payload.size()};
-  char has_start = 0;
-  if (!r.read_string(edit.table) || !r.read_raw(&has_start, 1)) return false;
-  edit.has_extent_start = has_start != 0;
-  if (!r.read_string(edit.extent_start)) return false;
-  std::uint64_t n_added = 0;
-  if (!r.read_u64(n_added)) return false;
-  for (std::uint64_t i = 0; i < n_added; ++i) {
-    FileMeta m;
-    std::uint64_t level = 0;
-    if (!r.read_u64(m.file_id) || !r.read_u64(level) || !r.read_u64(m.seq) ||
-        !r.read_u64(m.cells) || !r.read_u64(m.bytes) ||
-        !r.read_key(m.first_key) || !r.read_key(m.last_key)) {
-      return false;
+    const std::uint64_t n_removed = wire::get_u64(c);
+    for (std::uint64_t i = 0; i < n_removed; ++i) {
+      edit.removed.push_back(wire::get_u64(c));
     }
-    m.level = static_cast<int>(level);
-    edit.added.push_back(std::move(m));
+    c.expect_end();
+    return true;
+  } catch (const wire::WireError&) {
+    return false;
   }
-  std::uint64_t n_removed = 0;
-  if (!r.read_u64(n_removed)) return false;
-  for (std::uint64_t i = 0; i < n_removed; ++i) {
-    std::uint64_t id = 0;
-    if (!r.read_u64(id)) return false;
-    edit.removed.push_back(id);
-  }
-  return r.remaining == 0;
 }
 
 }  // namespace
@@ -129,25 +68,25 @@ FileMeta FileMeta::describe(std::shared_ptr<RFile> rf, int level,
 
 std::string encode_version_edit(const VersionEdit& edit) {
   std::string payload;
-  put_string(payload, edit.table);
-  payload.push_back(edit.has_extent_start ? 1 : 0);
-  put_string(payload, edit.extent_start);
-  put_u64(payload, edit.added.size());
+  wire::put_string(payload, edit.table);
+  wire::put_u8(payload, edit.has_extent_start ? 1 : 0);
+  wire::put_string(payload, edit.extent_start);
+  wire::put_u64(payload, edit.added.size());
   for (const FileMeta& m : edit.added) {
-    put_u64(payload, m.file_id);
-    put_u64(payload, static_cast<std::uint64_t>(m.level));
-    put_u64(payload, m.seq);
-    put_u64(payload, m.cells);
-    put_u64(payload, m.bytes);
-    put_key(payload, m.first_key);
-    put_key(payload, m.last_key);
+    wire::put_u64(payload, m.file_id);
+    wire::put_u64(payload, static_cast<std::uint64_t>(m.level));
+    wire::put_u64(payload, m.seq);
+    wire::put_u64(payload, m.cells);
+    wire::put_u64(payload, m.bytes);
+    wire::put_key(payload, m.first_key);
+    wire::put_key(payload, m.last_key);
   }
-  put_u64(payload, edit.removed.size());
-  for (const std::uint64_t id : edit.removed) put_u64(payload, id);
+  wire::put_u64(payload, edit.removed.size());
+  for (const std::uint64_t id : edit.removed) wire::put_u64(payload, id);
 
   std::string record;
-  put_u32(record, static_cast<std::uint32_t>(payload.size()));
-  put_u32(record, util::crc32(payload.data(), payload.size()));
+  wire::put_u32(record, static_cast<std::uint32_t>(payload.size()));
+  wire::put_u32(record, util::crc32(payload.data(), payload.size()));
   record.append(payload);
   return record;
 }
@@ -181,25 +120,19 @@ void ManifestWriter::sync() {
 
 ManifestReplay replay_manifest(const std::string& path) {
   ManifestReplay result;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return result;
-  std::string bytes((std::istreambuf_iterator<char>(in)),
-                    std::istreambuf_iterator<char>());
-  std::size_t off = 0;
-  while (off + 2 * sizeof(std::uint32_t) <= bytes.size()) {
-    std::uint32_t len = 0, stored_crc = 0;
-    std::memcpy(&len, bytes.data() + off, sizeof(len));
-    std::memcpy(&stored_crc, bytes.data() + off + sizeof(len),
-                sizeof(stored_crc));
-    const std::size_t body = off + 2 * sizeof(std::uint32_t);
-    if (body + len > bytes.size()) break;  // torn tail
-    const std::string payload = bytes.substr(body, len);
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return result;
+  wire::Cursor c(bytes);
+  while (c.remaining() >= 8) {
+    const std::uint32_t len = wire::get_u32(c);
+    const std::uint32_t stored_crc = wire::get_u32(c);
+    if (len > c.remaining()) break;  // torn tail
+    const std::string_view payload = wire::get_bytes(c, len);
     if (util::crc32(payload.data(), payload.size()) != stored_crc) break;
     VersionEdit edit;
     if (!decode_payload(payload, edit)) break;
     result.edits.push_back(std::move(edit));
-    off = body + len;
-    result.valid_bytes = off;
+    result.valid_bytes = c.pos;
   }
   result.truncated = result.valid_bytes != bytes.size();
   if (result.truncated) {

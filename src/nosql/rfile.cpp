@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -11,6 +10,7 @@
 
 #include "nosql/block_cache.hpp"
 #include "nosql/block_codec.hpp"
+#include "nosql/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/checksum.hpp"
@@ -60,64 +60,6 @@ obs::Counter& decode_raw_bytes() {
       "rfile.decode.raw_bytes.total",
       "Prefix-encoded bytes run through the RFile block decoder");
   return c;
-}
-
-// ---- payload (de)serialization -----------------------------------------
-
-void append_raw(std::string& out, const void* p, std::size_t n) {
-  out.append(static_cast<const char*>(p), n);
-}
-
-void append_string(std::string& out, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  append_raw(out, &len, sizeof(len));
-  out.append(s);
-}
-
-/// Cursor over an in-memory payload; read_* return false on truncation.
-struct PayloadReader {
-  const char* p;
-  std::size_t remaining;
-
-  bool read_raw(void* dst, std::size_t n) {
-    if (remaining < n) return false;
-    std::memcpy(dst, p, n);
-    p += n;
-    remaining -= n;
-    return true;
-  }
-
-  bool read_string(std::string& s) {
-    std::uint32_t len = 0;
-    if (!read_raw(&len, sizeof(len))) return false;
-    if (remaining < len) return false;
-    s.assign(p, len);
-    p += len;
-    remaining -= len;
-    return true;
-  }
-};
-
-void append_key(std::string& out, const Key& k) {
-  append_string(out, k.row);
-  append_string(out, k.family);
-  append_string(out, k.qualifier);
-  append_string(out, k.visibility);
-  append_raw(out, &k.ts, sizeof(k.ts));
-  const char del = k.deleted ? 1 : 0;
-  append_raw(out, &del, 1);
-}
-
-bool read_key(PayloadReader& reader, Key& k) {
-  if (!reader.read_string(k.row) || !reader.read_string(k.family) ||
-      !reader.read_string(k.qualifier) || !reader.read_string(k.visibility)) {
-    return false;
-  }
-  if (!reader.read_raw(&k.ts, sizeof(k.ts))) return false;
-  char del = 0;
-  if (!reader.read_raw(&del, 1)) return false;
-  k.deleted = del != 0;
-  return true;
 }
 
 std::size_t key_bytes(const Key& k) {
@@ -608,10 +550,11 @@ std::vector<std::string> RFile::sample_rows(std::size_t n) const {
 }
 
 // ---- disk formats -------------------------------------------------------
-// RFL2 (plain): magic(4) | payload_len(8) | payload | crc32(payload)(4)
-// RFL3 (packed): magic(4) | header_len(8) | header | crc32(header)(4) |
-//                block data bytes, concatenated (lengths + per-block
-//                crc32s live in the header)
+// Both are a wire file frame (magic | u64 len | payload | crc32) written
+// with the wire codecs (DESIGN.md §14.1):
+// RFL2 (plain):  frame(u64 count | cells)
+// RFL3 (packed): frame(header) | block data bytes, concatenated (lengths
+//                + per-block crc32s live in the header)
 
 bool RFile::write_to(const std::string& path) const {
   util::fault::point(util::fault::sites::kRFileWrite);
@@ -621,26 +564,13 @@ bool RFile::write_to(const std::string& path) const {
 bool RFile::write_rfl2(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
-  std::string payload;
-  payload.reserve(bytes_ + cells_->size() * 8);
-  const auto count = static_cast<std::uint64_t>(cells_->size());
-  append_raw(payload, &count, sizeof(count));
-  for (const auto& c : *cells_) {
-    append_string(payload, c.key.row);
-    append_string(payload, c.key.family);
-    append_string(payload, c.key.qualifier);
-    append_string(payload, c.key.visibility);
-    append_raw(payload, &c.key.ts, sizeof(c.key.ts));
-    const char del = c.key.deleted ? 1 : 0;
-    append_raw(payload, &del, 1);
-    append_string(payload, c.value);
-  }
-  const auto payload_len = static_cast<std::uint64_t>(payload.size());
-  const std::uint32_t crc = crc32(payload.data(), payload.size());
-  out.write(reinterpret_cast<const char*>(&kMagic), sizeof(kMagic));
-  out.write(reinterpret_cast<const char*>(&payload_len), sizeof(payload_len));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  std::string file;
+  file.reserve(bytes_ + cells_->size() * 8);
+  const std::size_t frame = wire::begin_frame(file, kMagic);
+  wire::put_u64(file, cells_->size());
+  for (const auto& c : *cells_) wire::put_cell(file, c);
+  wire::end_frame(file, frame);
+  out.write(file.data(), static_cast<std::streamsize>(file.size()));
   return static_cast<bool>(out);
 }
 
@@ -648,40 +578,29 @@ bool RFile::write_rfl3(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return false;
   std::string header;
-  const auto count = static_cast<std::uint64_t>(count_);
-  const auto stride = static_cast<std::uint64_t>(stride_);
-  const auto restart = static_cast<std::uint64_t>(restart_interval_);
-  append_raw(header, &count, sizeof(count));
-  append_raw(header, &stride, sizeof(stride));
-  append_raw(header, &restart, sizeof(restart));
-  const auto bloom_bits = static_cast<std::uint64_t>(bloom_bits_);
-  const auto bloom_words = static_cast<std::uint64_t>(bloom_.size());
-  append_raw(header, &bloom_bits, sizeof(bloom_bits));
-  append_raw(header, &bloom_words, sizeof(bloom_words));
-  append_raw(header, bloom_.data(), bloom_.size() * sizeof(std::uint64_t));
+  const std::size_t frame = wire::begin_frame(header, kMagic3);
+  wire::put_u64(header, count_);
+  wire::put_u64(header, stride_);
+  wire::put_u64(header, restart_interval_);
+  wire::put_u64(header, bloom_bits_);
+  wire::put_u64(header, bloom_.size());
+  for (const std::uint64_t word : bloom_) wire::put_u64(header, word);
   if (count_ > 0) {
-    append_key(header, first_key_);
-    append_key(header, last_key_);
+    wire::put_key(header, first_key_);
+    wire::put_key(header, last_key_);
   }
-  const auto nblocks = static_cast<std::uint64_t>(blocks_.size());
-  append_raw(header, &nblocks, sizeof(nblocks));
+  wire::put_u64(header, blocks_.size());
   for (std::size_t b = 0; b < blocks_.size(); ++b) {
     const EncodedBlock& block = blocks_[b];
-    append_key(header, block_first_keys_[b]);
-    append_raw(header, &block.count, sizeof(block.count));
-    append_raw(header, &block.raw_bytes, sizeof(block.raw_bytes));
-    const auto data_len = static_cast<std::uint32_t>(block.data.size());
-    append_raw(header, &data_len, sizeof(data_len));
-    const char compressed = block.compressed ? 1 : 0;
-    append_raw(header, &compressed, 1);
-    append_raw(header, &block.crc, sizeof(block.crc));
+    wire::put_key(header, block_first_keys_[b]);
+    wire::put_u32(header, block.count);
+    wire::put_u32(header, block.raw_bytes);
+    wire::put_u32(header, static_cast<std::uint32_t>(block.data.size()));
+    wire::put_u8(header, block.compressed ? 1 : 0);
+    wire::put_u32(header, block.crc);
   }
-  const auto header_len = static_cast<std::uint64_t>(header.size());
-  const std::uint32_t header_crc = crc32(header.data(), header.size());
-  out.write(reinterpret_cast<const char*>(&kMagic3), sizeof(kMagic3));
-  out.write(reinterpret_cast<const char*>(&header_len), sizeof(header_len));
+  wire::end_frame(header, frame);
   out.write(header.data(), static_cast<std::streamsize>(header.size()));
-  out.write(reinterpret_cast<const char*>(&header_crc), sizeof(header_crc));
   for (const auto& block : blocks_) {
     out.write(block.data.data(),
               static_cast<std::streamsize>(block.data.size()));
@@ -692,143 +611,84 @@ bool RFile::write_rfl3(const std::string& path) const {
 std::shared_ptr<RFile> RFile::read_from(const std::string& path,
                                         const RFileOptions& options) {
   util::fault::point(util::fault::sites::kRFileRead);
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  std::uint32_t magic = 0;
-  if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) return nullptr;
-  // Version dispatch: RFL2 files written before the packed layout still
-  // load (and re-encode in memory when the options ask for it); RFL3
-  // files keep their packed blocks verbatim.
-  if (magic == kMagic) return read_rfl2(in, options);
-  if (magic == kMagic3) return read_rfl3(in, options);
+  std::string bytes;
+  if (!wire::read_file(path, bytes)) return nullptr;
+  try {
+    wire::Cursor file(bytes);
+    std::uint32_t magic = 0;
+    const std::string_view payload = wire::get_frame(file, magic);
+    wire::Cursor c(payload.data(), payload.size());
+    // Version dispatch: RFL2 files written before the packed layout
+    // still load (and re-encode in memory when the options ask for it);
+    // RFL3 files keep their packed blocks verbatim.
+    if (magic == kMagic) {
+      file.expect_end();
+      return read_rfl2(c, options);
+    }
+    if (magic == kMagic3) return read_rfl3(c, file);
+  } catch (const wire::WireError&) {
+    // truncation, a bad length, a CRC mismatch or trailing garbage
+  }
   return nullptr;
 }
 
-std::shared_ptr<RFile> RFile::read_rfl2(std::ifstream& in,
+std::shared_ptr<RFile> RFile::read_rfl2(wire::Cursor& c,
                                         const RFileOptions& options) {
-  std::uint64_t payload_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&payload_len), sizeof(payload_len))) {
-    return nullptr;
-  }
-  std::string payload(payload_len, '\0');
-  if (!in.read(payload.data(), static_cast<std::streamsize>(payload_len))) {
-    return nullptr;  // truncated
-  }
-  std::uint32_t stored_crc = 0;
-  if (!in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc))) {
-    return nullptr;
-  }
-  if (crc32(payload.data(), payload.size()) != stored_crc) {
-    return nullptr;  // corrupt (bit flips, partial writes)
-  }
-  PayloadReader reader{payload.data(), payload.size()};
-  std::uint64_t count = 0;
-  if (!reader.read_raw(&count, sizeof(count))) return nullptr;
+  const std::uint64_t count = wire::get_u64(c);
   std::vector<Cell> cells;
-  cells.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    Cell c;
-    if (!reader.read_string(c.key.row) || !reader.read_string(c.key.family) ||
-        !reader.read_string(c.key.qualifier) ||
-        !reader.read_string(c.key.visibility)) {
-      return nullptr;
-    }
-    if (!reader.read_raw(&c.key.ts, sizeof(c.key.ts))) return nullptr;
-    char del = 0;
-    if (!reader.read_raw(&del, 1)) return nullptr;
-    c.key.deleted = del != 0;
-    if (!reader.read_string(c.value)) return nullptr;
-    if (!cells.empty() && c.key < cells.back().key) return nullptr;  // corrupt
-    cells.push_back(std::move(c));
+    Cell cell = wire::get_cell(c);
+    if (!cells.empty() && cell.key < cells.back().key) return nullptr;
+    cells.push_back(std::move(cell));
   }
-  if (reader.remaining != 0) return nullptr;  // trailing garbage
+  c.expect_end();
   return from_sorted(std::move(cells), options);
 }
 
-std::shared_ptr<RFile> RFile::read_rfl3(std::ifstream& in,
-                                        const RFileOptions& options) {
-  std::uint64_t header_len = 0;
-  if (!in.read(reinterpret_cast<char*>(&header_len), sizeof(header_len))) {
-    return nullptr;
-  }
-  std::string header(header_len, '\0');
-  if (!in.read(header.data(), static_cast<std::streamsize>(header_len))) {
-    return nullptr;  // truncated
-  }
-  std::uint32_t stored_crc = 0;
-  if (!in.read(reinterpret_cast<char*>(&stored_crc), sizeof(stored_crc))) {
-    return nullptr;
-  }
-  if (crc32(header.data(), header.size()) != stored_crc) {
-    return nullptr;  // corrupt header
-  }
-  PayloadReader reader{header.data(), header.size()};
-  std::uint64_t count = 0, stride = 0, restart = 0;
-  if (!reader.read_raw(&count, sizeof(count)) ||
-      !reader.read_raw(&stride, sizeof(stride)) ||
-      !reader.read_raw(&restart, sizeof(restart))) {
-    return nullptr;
-  }
+std::shared_ptr<RFile> RFile::read_rfl3(wire::Cursor& header,
+                                        wire::Cursor& data) {
+  const std::uint64_t count = wire::get_u64(header);
+  const std::uint64_t stride = wire::get_u64(header);
+  const std::uint64_t restart = wire::get_u64(header);
   if (stride == 0 || restart == 0) return nullptr;
-  std::uint64_t bloom_bits = 0, bloom_words = 0;
-  if (!reader.read_raw(&bloom_bits, sizeof(bloom_bits)) ||
-      !reader.read_raw(&bloom_words, sizeof(bloom_words))) {
-    return nullptr;
-  }
-  if (bloom_words > reader.remaining / sizeof(std::uint64_t)) return nullptr;
+  const std::uint64_t bloom_bits = wire::get_u64(header);
+  const std::uint64_t bloom_words = wire::get_u64(header);
+  if (bloom_words > header.remaining() / sizeof(std::uint64_t)) return nullptr;
   std::vector<std::uint64_t> bloom(bloom_words);
-  if (!reader.read_raw(bloom.data(), bloom_words * sizeof(std::uint64_t))) {
-    return nullptr;
-  }
+  for (auto& word : bloom) word = wire::get_u64(header);
   Key first_key, last_key;
   if (count > 0) {
-    if (!read_key(reader, first_key) || !read_key(reader, last_key)) {
-      return nullptr;
-    }
+    first_key = wire::get_key(header);
+    last_key = wire::get_key(header);
     if (last_key < first_key) return nullptr;
   }
-  std::uint64_t nblocks = 0;
-  if (!reader.read_raw(&nblocks, sizeof(nblocks))) return nullptr;
+  const std::uint64_t nblocks = wire::get_u64(header);
   if (nblocks != (count + stride - 1) / stride) return nullptr;
   std::vector<EncodedBlock> blocks;
   std::vector<Key> first_keys;
-  blocks.reserve(nblocks);
-  first_keys.reserve(nblocks);
   std::uint64_t cells_seen = 0;
   for (std::uint64_t b = 0; b < nblocks; ++b) {
-    Key fk;
-    if (!read_key(reader, fk)) return nullptr;
+    Key fk = wire::get_key(header);
     if (!first_keys.empty() && fk < first_keys.back()) return nullptr;
     EncodedBlock block;
-    std::uint32_t data_len = 0;
-    char compressed = 0;
-    if (!reader.read_raw(&block.count, sizeof(block.count)) ||
-        !reader.read_raw(&block.raw_bytes, sizeof(block.raw_bytes)) ||
-        !reader.read_raw(&data_len, sizeof(data_len)) ||
-        !reader.read_raw(&compressed, 1) ||
-        !reader.read_raw(&block.crc, sizeof(block.crc))) {
-      return nullptr;
-    }
+    block.count = wire::get_u32(header);
+    block.raw_bytes = wire::get_u32(header);
+    const std::uint32_t data_len = wire::get_u32(header);
+    block.compressed = wire::get_u8(header) != 0;
+    block.crc = wire::get_u32(header);
     if (block.count == 0 || block.count > stride) return nullptr;
-    block.compressed = compressed != 0;
-    block.data.resize(data_len);  // filled from the data section below
+    // The data section holds the blocks' bytes in block order.
+    block.data = wire::get_bytes(data, data_len);
+    if (crc32(block.data.data(), block.data.size()) != block.crc) {
+      return nullptr;  // per-block corruption (bit flips, torn writes)
+    }
     cells_seen += block.count;
     blocks.push_back(std::move(block));
     first_keys.push_back(std::move(fk));
   }
-  if (reader.remaining != 0) return nullptr;  // trailing header garbage
+  header.expect_end();
+  data.expect_end();
   if (cells_seen != count) return nullptr;
-  for (auto& block : blocks) {
-    if (!in.read(block.data.data(),
-                 static_cast<std::streamsize>(block.data.size()))) {
-      return nullptr;  // truncated data section
-    }
-    if (crc32(block.data.data(), block.data.size()) != block.crc) {
-      return nullptr;  // per-block corruption (bit flips, torn writes)
-    }
-  }
-  if (in.peek() != std::ifstream::traits_type::eof()) return nullptr;
-  (void)options;  // the stored layout wins for packed files
   return std::shared_ptr<RFile>(new RFile(
       std::move(blocks), std::move(first_keys), std::move(first_key),
       std::move(last_key), count, std::move(bloom),

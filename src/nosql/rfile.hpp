@@ -34,6 +34,9 @@
 namespace graphulo::nosql {
 
 class BlockCache;
+namespace wire {
+struct Cursor;
+}
 
 /// Per-block general-purpose compressor applied AFTER prefix encoding.
 enum class RFileCompressor : std::uint8_t {
@@ -211,10 +214,12 @@ class RFile : public std::enable_shared_from_this<RFile> {
 
   bool write_rfl2(const std::string& path) const;
   bool write_rfl3(const std::string& path) const;
-  static std::shared_ptr<RFile> read_rfl2(std::ifstream& in,
+  /// Decode a frame's payload (the RFL3 one is the header, followed by
+  /// the `data` section); throw wire::WireError on malformed bytes.
+  static std::shared_ptr<RFile> read_rfl2(wire::Cursor& payload,
                                           const RFileOptions& options);
-  static std::shared_ptr<RFile> read_rfl3(std::ifstream& in,
-                                          const RFileOptions& options);
+  static std::shared_ptr<RFile> read_rfl3(wire::Cursor& header,
+                                          wire::Cursor& data);
 
   // ---- common metadata --------------------------------------------------
   std::uint64_t file_id_ = 0;             ///< process-unique

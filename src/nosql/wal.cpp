@@ -8,6 +8,7 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "nosql/codec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/fault.hpp"
@@ -38,7 +39,10 @@ obs::Counter& wal_commit_bytes() {
   return c;
 }
 
-constexpr std::uint32_t kRecordMagic = 0x57414c32;  // "WAL2" (WAL1 + seq)
+// "WAL3": WAL2's record with put_mutation's layout (u32 update count,
+// one flags byte per update). No WAL2 reader is kept: a log with a
+// foreign magic replays nothing.
+constexpr std::uint32_t kRecordMagic = 0x57414c33;
 
 /// Retry budget for the commit path's injection site. Generous on
 /// purpose: the mass fault-injection test arms wal.commit with bursts
@@ -52,180 +56,118 @@ const util::RetryPolicy& commit_retry_policy() {
   return kPolicy;
 }
 
-void put_string(std::string& buf, const std::string& s) {
-  const auto len = static_cast<std::uint32_t>(s.size());
-  buf.append(reinterpret_cast<const char*>(&len), sizeof(len));
-  buf.append(s);
-}
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  buf.append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-bool get_string(const std::string& buf, std::size_t& pos, std::string& s) {
-  if (pos + sizeof(std::uint32_t) > buf.size()) return false;
-  std::uint32_t len = 0;
-  std::memcpy(&len, buf.data() + pos, sizeof(len));
-  pos += sizeof(len);
-  if (pos + len > buf.size()) return false;
-  s.assign(buf, pos, len);
-  pos += len;
-  return true;
-}
-
-bool get_u64(const std::string& buf, std::size_t& pos, std::uint64_t& v) {
-  if (pos + sizeof(v) > buf.size()) return false;
-  std::memcpy(&v, buf.data() + pos, sizeof(v));
-  pos += sizeof(v);
-  return true;
-}
-
 /// Serializes a record body (everything after the magic + length).
 std::string encode_body(const WalRecord& record) {
   std::string body;
-  put_u64(body, record.seq);
-  body.push_back(static_cast<char>(record.kind));
-  put_string(body, record.table);
+  wire::put_u64(body, record.seq);
+  wire::put_u8(body, static_cast<std::uint8_t>(record.kind));
+  wire::put_string(body, record.table);
   switch (record.kind) {
     case WalRecord::Kind::kCreateTable:
     case WalRecord::Kind::kDeleteTable:
       break;
     case WalRecord::Kind::kCloneTable:
-      put_string(body, record.aux);
+      wire::put_string(body, record.aux);
       break;
     case WalRecord::Kind::kAddSplits:
-      put_u64(body, record.splits.size());
-      for (const auto& s : record.splits) put_string(body, s);
+      wire::put_u64(body, record.splits.size());
+      for (const auto& s : record.splits) wire::put_string(body, s);
       break;
     case WalRecord::Kind::kStreamMutation:
-      put_string(body, record.stream);
-      put_u64(body, record.stream_seq);
+      wire::put_string(body, record.stream);
+      wire::put_u64(body, record.stream_seq);
       [[fallthrough]];
-    case WalRecord::Kind::kMutation: {
-      put_u64(body, static_cast<std::uint64_t>(record.assigned_ts));
-      put_string(body, record.mutation.row());
-      put_u64(body, record.mutation.updates().size());
-      for (const auto& u : record.mutation.updates()) {
-        put_string(body, u.family);
-        put_string(body, u.qualifier);
-        put_string(body, u.visibility);
-        put_u64(body, static_cast<std::uint64_t>(u.ts));
-        body.push_back(u.has_ts ? 1 : 0);
-        body.push_back(u.deleted ? 1 : 0);
-        put_string(body, u.value);
-      }
+    case WalRecord::Kind::kMutation:
+      wire::put_i64(body, record.assigned_ts);
+      wire::put_mutation(body, record.mutation);
       break;
-    }
   }
   return body;
 }
 
-/// Wraps an encoded body in the on-disk frame: magic, length, body.
+/// Wraps an encoded body in the on-disk frame: magic, u32 length, body.
 std::string frame_body(const std::string& body) {
   std::string framed;
-  framed.reserve(sizeof(kRecordMagic) + sizeof(std::uint32_t) + body.size());
-  framed.append(reinterpret_cast<const char*>(&kRecordMagic),
-                sizeof(kRecordMagic));
-  const auto len = static_cast<std::uint32_t>(body.size());
-  framed.append(reinterpret_cast<const char*>(&len), sizeof(len));
+  framed.reserve(8 + body.size());
+  wire::put_u32(framed, kRecordMagic);
+  wire::put_u32(framed, static_cast<std::uint32_t>(body.size()));
   framed.append(body);
   return framed;
 }
 
 /// Parses a record body; false on any truncation/corruption.
 bool decode_body(const std::string& body, WalRecord& record) {
-  std::size_t pos = 0;
-  if (!get_u64(body, pos, record.seq)) return false;
-  if (pos >= body.size()) return false;
-  const auto kind = static_cast<std::uint8_t>(body[pos++]);
-  if (kind < 1 || kind > 6) return false;
-  record.kind = static_cast<WalRecord::Kind>(kind);
-  if (!get_string(body, pos, record.table)) return false;
-  switch (record.kind) {
-    case WalRecord::Kind::kCreateTable:
-    case WalRecord::Kind::kDeleteTable:
-      return pos == body.size();
-    case WalRecord::Kind::kCloneTable:
-      if (!get_string(body, pos, record.aux)) return false;
-      return pos == body.size();
-    case WalRecord::Kind::kAddSplits: {
-      std::uint64_t count = 0;
-      if (!get_u64(body, pos, count)) return false;
-      record.splits.clear();
-      for (std::uint64_t i = 0; i < count; ++i) {
-        std::string s;
-        if (!get_string(body, pos, s)) return false;
-        record.splits.push_back(std::move(s));
+  try {
+    wire::Cursor c(body);
+    record.seq = wire::get_u64(c);
+    const std::uint8_t kind = wire::get_u8(c);
+    if (kind < 1 || kind > 6) return false;
+    record.kind = static_cast<WalRecord::Kind>(kind);
+    record.table = wire::get_string(c);
+    switch (record.kind) {
+      case WalRecord::Kind::kCreateTable:
+      case WalRecord::Kind::kDeleteTable:
+        break;
+      case WalRecord::Kind::kCloneTable:
+        record.aux = wire::get_string(c);
+        break;
+      case WalRecord::Kind::kAddSplits: {
+        const std::uint64_t count = wire::get_u64(c);
+        for (std::uint64_t i = 0; i < count; ++i) {
+          record.splits.push_back(wire::get_string(c));
+        }
+        break;
       }
-      return pos == body.size();
+      case WalRecord::Kind::kStreamMutation:
+        record.stream = wire::get_string(c);
+        record.stream_seq = wire::get_u64(c);
+        [[fallthrough]];
+      case WalRecord::Kind::kMutation:
+        record.assigned_ts = wire::get_i64(c);
+        record.mutation = wire::get_mutation(c);
+        break;
     }
-    case WalRecord::Kind::kStreamMutation:
-      if (!get_string(body, pos, record.stream) ||
-          !get_u64(body, pos, record.stream_seq)) {
-        return false;
-      }
-      break;
-    case WalRecord::Kind::kMutation:
-      break;
-  }
-
-  std::uint64_t ts = 0;
-  std::string row;
-  std::uint64_t update_count = 0;
-  if (!get_u64(body, pos, ts) || !get_string(body, pos, row) ||
-      !get_u64(body, pos, update_count)) {
+    c.expect_end();
+    return true;
+  } catch (const wire::WireError&) {
     return false;
   }
-  record.assigned_ts = static_cast<Timestamp>(ts);
-  Mutation mutation(row);
-  for (std::uint64_t i = 0; i < update_count; ++i) {
-    std::string family, qualifier, visibility, value;
-    std::uint64_t uts = 0;
-    if (!get_string(body, pos, family) || !get_string(body, pos, qualifier) ||
-        !get_string(body, pos, visibility) || !get_u64(body, pos, uts)) {
-      return false;
-    }
-    if (pos + 2 > body.size()) return false;
-    const bool has_ts = body[pos++] != 0;
-    const bool deleted = body[pos++] != 0;
-    if (!get_string(body, pos, value)) return false;
-    if (deleted) {
-      mutation.put_delete(std::move(family), std::move(qualifier));
-    } else if (has_ts) {
-      mutation.put(std::move(family), std::move(qualifier),
-                   std::move(visibility), static_cast<Timestamp>(uts),
-                   std::move(value));
-    } else {
-      mutation.put(std::move(family), std::move(qualifier), std::move(value));
-    }
-  }
-  record.mutation = std::move(mutation);
-  return pos == body.size();
 }
 
-/// Scans an existing log for the sequence number after its last intact
-/// record (1 for a missing/empty/garbage file).
-std::uint64_t scan_next_seq(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 1;
-  std::uint64_t next = 1;
-  while (true) {
-    std::uint32_t magic = 0, len = 0;
-    if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) break;
-    if (magic != kRecordMagic) break;
-    if (!in.read(reinterpret_cast<char*>(&len), sizeof(len))) break;
-    if (len < sizeof(std::uint64_t)) break;
-    std::uint64_t seq = 0;
-    if (!in.read(reinterpret_cast<char*>(&seq), sizeof(seq))) break;
-    if (!in.seekg(static_cast<std::streamoff>(len - sizeof(seq)),
-                  std::ios::cur)) {
-      break;
-    }
-    // A torn record after this point invalidates this seq too, but the
-    // successor estimate only has to be PAST every replayable record,
-    // which "last header seq + 1" always is.
-    next = seq + 1;
+/// Calls `visit` on each intact record of the log at `path`, in file
+/// order. Stops at the first frame with a foreign magic, a length that
+/// runs past the end of the file (a torn tail; checked before the body
+/// is allocated) or a body that does not decode. A missing file visits
+/// nothing.
+void for_each_record(const std::string& path,
+                     const std::function<void(const WalRecord&)>& visit) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  if (!in) return;
+  const std::streamoff size = in.tellg();
+  if (size < 0 || !in.seekg(0)) return;
+  auto left = static_cast<std::uint64_t>(size);
+  char header[8];
+  std::string body;
+  while (left >= sizeof(header) && in.read(header, sizeof(header))) {
+    left -= sizeof(header);
+    wire::Cursor c(header, sizeof(header));
+    if (wire::get_u32(c) != kRecordMagic) return;
+    const std::uint32_t len = wire::get_u32(c);
+    if (len > left) return;
+    body.resize(len);
+    if (!in.read(body.data(), len)) return;
+    left -= len;
+    WalRecord record;
+    if (!decode_body(body, record)) return;
+    visit(record);
   }
+}
+
+/// The sequence number after the log's last intact record (1 for a
+/// missing/empty/garbage file): past every record replay can deliver.
+std::uint64_t scan_next_seq(const std::string& path) {
+  std::uint64_t next = 1;
+  for_each_record(path, [&next](const WalRecord& r) { next = r.seq + 1; });
   return next;
 }
 
@@ -506,23 +448,12 @@ std::uint64_t WriteAheadLog::durable_seq() const {
 std::size_t replay_wal(const std::string& path,
                        const std::function<void(const WalRecord&)>& apply,
                        std::uint64_t min_seq) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
   std::size_t delivered = 0;
-  while (true) {
-    std::uint32_t magic = 0, len = 0;
-    if (!in.read(reinterpret_cast<char*>(&magic), sizeof(magic))) break;
-    if (magic != kRecordMagic) break;  // corruption: stop cleanly
-    if (!in.read(reinterpret_cast<char*>(&len), sizeof(len))) break;
-    std::string body(len, '\0');
-    if (!in.read(body.data(), static_cast<std::streamsize>(len))) break;
-    WalRecord record;
-    if (!decode_body(body, record)) break;
-    if (record.seq >= min_seq) {
-      apply(record);
-      ++delivered;
-    }
-  }
+  for_each_record(path, [&](const WalRecord& record) {
+    if (record.seq < min_seq) return;
+    apply(record);
+    ++delivered;
+  });
   return delivered;
 }
 

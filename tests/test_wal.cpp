@@ -144,8 +144,16 @@ TEST(Wal, MutationWithExplicitFieldsSurvives) {
     Instance db;
     db.attach_wal(std::make_shared<WriteAheadLog>(path));
     db.create_table("t");
+    Mutation older("r");
+    older.put("fam", "q", "admin", 3, "old");
+    db.apply("t", older);
     Mutation m("r");
     m.put("fam", "qual", "vis&label", 12345, "payload");
+    // Field combinations the put/put_delete sugar cannot express: a
+    // labelled put with a server-assigned ts, and a labelled delete
+    // marker at an explicit ts (it hides `older`).
+    m.add_update({"fam", "secret", "admin", 0, false, false, "classified"});
+    m.add_update({"fam", "q", "admin", 5, true, true, ""});
     db.apply("t", m);
     db.sync_wal();
   }
@@ -154,11 +162,19 @@ TEST(Wal, MutationWithExplicitFieldsSurvives) {
   Scanner scan(recovered, "t");
   scan.set_authorizations({"vis", "label"});
   const auto cells = scan.read_all();
-  ASSERT_EQ(cells.size(), 1u);
+  ASSERT_EQ(cells.size(), 1u);  // the admin cell stays labelled
   EXPECT_EQ(cells[0].key.family, "fam");
   EXPECT_EQ(cells[0].key.visibility, "vis&label");
   EXPECT_EQ(cells[0].key.ts, 12345);
   EXPECT_EQ(cells[0].value, "payload");
+
+  Scanner admin(recovered, "t");
+  admin.set_authorizations({"admin"});
+  const auto secret = admin.read_all();
+  ASSERT_EQ(secret.size(), 1u);  // "old" stays deleted
+  EXPECT_EQ(secret[0].key.qualifier, "secret");
+  EXPECT_EQ(secret[0].key.visibility, "admin");
+  EXPECT_EQ(secret[0].value, "classified");
   std::remove(path.c_str());
 }
 
